@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.core.bram import BramPlan, plan_bram
 from repro.core.config import AcceleratorConfig
+from repro.core.gemm import GemmWeights
 from repro.core.latency import channels_per_pass
 from repro.errors import CompilationError
 from repro.snn.spec import QuantizedNetwork
@@ -48,6 +49,10 @@ class LayerProgram:
     spec: object
     conv_schedule: ConvSchedule | None = None
     weights_on_chip: bool = True
+    #: Conv/linear weights as an exact GEMM operand, shared by every
+    #: engine that runs this compiled model (None for pool/flatten).
+    gemm: GemmWeights | None = field(default=None, compare=False,
+                                     repr=False)
 
 
 @dataclass(frozen=True)
@@ -113,7 +118,8 @@ def compile_network(
             schedule = _schedule_conv(spec, config)
             programs.append(LayerProgram(
                 index=i, name=f"conv{conv_idx}", kind="conv", spec=spec,
-                conv_schedule=schedule, weights_on_chip=weights_on_chip))
+                conv_schedule=schedule, weights_on_chip=weights_on_chip,
+                gemm=GemmWeights(spec.weights, network.num_steps)))
         elif spec.kind == "pool":
             pool_idx += 1
             if spec.size > config.pool_unit.rows:
@@ -136,7 +142,8 @@ def compile_network(
             fc_idx += 1
             programs.append(LayerProgram(
                 index=i, name=f"fc{fc_idx}", kind="linear", spec=spec,
-                weights_on_chip=weights_on_chip))
+                weights_on_chip=weights_on_chip,
+                gemm=GemmWeights(spec.weights, network.num_steps)))
 
     bram = plan_bram(network, config.memory, weights_on_chip)
     activation_bits = max(bram.activation_2d_bits, bram.activation_1d_bits)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import weakref
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.core.calibration import DEFAULT_LATENCY, LatencyCalibration
 from repro.core.compiler import CompiledModel, compile_network
 from repro.core.config import AcceleratorConfig
 from repro.core.engine.base import ExecutionEngine, create_engine, resolve_backend
+from repro.snn.spec import QuantizedNetwork
 
 __all__ = [
     "clear_engine_cache",
@@ -46,6 +48,8 @@ _COMPILED: dict[str, CompiledModel] = {}
 _ENGINES: dict[str, ExecutionEngine] = {}
 _STATS = {"compile_hits": 0, "compile_misses": 0,
           "engine_hits": 0, "engine_misses": 0}
+#: id(network) -> (weakref to it, sha256 state after feeding it).
+_NETWORK_DIGESTS: dict[int, tuple] = {}
 
 
 def _feed(digest, value) -> None:
@@ -76,11 +80,43 @@ def _feed(digest, value) -> None:
         digest.update(repr(value).encode())
 
 
-def network_fingerprint(network) -> str:
-    """Content hash of a :class:`~repro.snn.spec.QuantizedNetwork`."""
+def _network_digest(network):
+    """The hash state after feeding ``network``, memoized per instance.
+
+    Every content key starts by hashing the whole network (28.5M
+    weights for VGG-11), and callers such as ``SweepDriver.run`` ask for
+    keys of the same network object again and again.  The state is
+    kept per network *instance* and callers get a ``.copy()``.  That is
+    sound because a :class:`~repro.snn.spec.QuantizedNetwork` never
+    changes after construction: the dataclasses are frozen and the
+    specs make their arrays read-only.  The memo entry goes away with
+    the network.
+    """
+    ident = id(network)
+    entry = _NETWORK_DIGESTS.get(ident)
+    if entry is not None and entry[0]() is network:
+        return entry[1].copy()
     digest = hashlib.sha256()
     _feed(digest, network)
-    return digest.hexdigest()
+    if not isinstance(network, QuantizedNetwork):
+        return digest                    # no immutability promise: no memo
+    ref = weakref.ref(network)
+    _NETWORK_DIGESTS[ident] = (ref, digest.copy())
+    weakref.finalize(network, _forget_digest, ident, ref)
+    return digest
+
+
+def _forget_digest(ident: int, ref) -> None:
+    # Lock-free on purpose: finalizers run from the garbage collector,
+    # possibly while this thread holds _LOCK.
+    entry = _NETWORK_DIGESTS.get(ident)
+    if entry is not None and entry[0] is ref:
+        _NETWORK_DIGESTS.pop(ident, None)
+
+
+def network_fingerprint(network) -> str:
+    """Content hash of a :class:`~repro.snn.spec.QuantizedNetwork`."""
+    return _network_digest(network).hexdigest()
 
 
 def content_key(network, config: AcceleratorConfig,
@@ -89,17 +125,15 @@ def content_key(network, config: AcceleratorConfig,
 
     Public because the deployment registry keys named deployments by the
     same fingerprint the warm cache uses — one definition, so "same
-    fingerprint" and "same warm engine" can never disagree.
+    fingerprint" and "same warm engine" can never disagree.  The
+    network's share of the hash is memoized per network instance, so a
+    repeat key costs only the config and calibration fields.
     """
-    digest = hashlib.sha256()
-    _feed(digest, network)
+    digest = _network_digest(network)
     _feed(digest, config)
     if calibration is not None:
         _feed(digest, calibration)
     return digest.hexdigest()
-
-
-_key = content_key
 
 
 def warm_compile(
@@ -115,7 +149,7 @@ def warm_compile(
     mutate it.
     """
     register_cache_sampler()
-    key = _key(network, config)
+    key = content_key(network, config)
     with _LOCK:
         compiled = _COMPILED.get(key)
         if compiled is not None:
@@ -132,6 +166,7 @@ def warm_engine(
     config: AcceleratorConfig,
     backend: str | type[ExecutionEngine] = "vectorized",
     calibration: LatencyCalibration = DEFAULT_LATENCY,
+    key: str | None = None,
 ) -> ExecutionEngine:
     """A ready-to-run engine for a deployment, cached across callers.
 
@@ -139,9 +174,15 @@ def warm_engine(
     instance, skipping compilation and construction entirely — the hot
     path the serving and sweep layers sit on.  ``run_batch`` is stateless
     per call, so one instance may serve many callers (and threads).
+
+    ``key`` is the cache key when the caller already holds it —
+    ``f"{backend}:{content_key(network, config, calibration)}"``, which
+    is :attr:`~repro.runtime.work.Deployment.fingerprint` — so a hit
+    costs a dict lookup instead of a hash over every weight.
     """
-    name = resolve_backend(backend).name
-    key = f"{name}:{_key(network, config, calibration)}"
+    if key is None:
+        name = resolve_backend(backend).name
+        key = f"{name}:{content_key(network, config, calibration)}"
     with _LOCK:
         engine = _ENGINES.get(key)
         if engine is not None:

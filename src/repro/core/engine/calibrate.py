@@ -371,13 +371,13 @@ class _CaptureEngine(VectorizedEngine):
         self.records: list[tuple[str, object, np.ndarray]] = []
         self.pop_records: list[tuple] = []
 
-    def _conv_acc(self, spec, x):
-        self.records.append(("conv", spec, x))
-        return super()._conv_acc(spec, x)
+    def _conv_acc(self, program, x):
+        self.records.append(("conv", program, x))
+        return super()._conv_acc(program, x)
 
-    def _linear_acc(self, spec, x):
-        self.records.append(("linear", spec, x))
-        return super()._linear_acc(spec, x)
+    def _linear_acc(self, program, x):
+        self.records.append(("linear", program, x))
+        return super()._linear_acc(program, x)
 
     def _popcount_sum(self, x, t, weights=None, axis=None):
         self.pop_records.append((x, t, weights, axis))
@@ -416,7 +416,6 @@ def _linear_tap_density(x: np.ndarray) -> float | None:
 def _probe_hooks(compiled, calibration, batches: dict, rounds: int,
                  ) -> tuple[dict, float, dict]:
     """Per-layer (and popcount) crossovers from timed hook probes."""
-    spec_names = {id(p.spec): p.name for p in compiled.programs}
     dense = VectorizedEngine(compiled, calibration)
     forced = _forced_sparse(compiled, calibration)
     layer_points: dict[str, list] = {}
@@ -424,9 +423,9 @@ def _probe_hooks(compiled, calibration, batches: dict, rounds: int,
     for images in batches.values():
         capture = _CaptureEngine(compiled, calibration)
         capture.run_batch(images)
-        for kind, spec, x in capture.records:
+        for kind, program, x in capture.records:
             if kind == "conv":
-                metric = _conv_row_density(spec, x)
+                metric = _conv_row_density(program.spec, x)
                 sparse_fn = forced._conv_acc
                 dense_fn = dense._conv_acc
             else:
@@ -435,11 +434,11 @@ def _probe_hooks(compiled, calibration, batches: dict, rounds: int,
                 dense_fn = dense._linear_acc
             if metric is None:
                 continue
-            label = f"{spec_names[id(spec)]}:{kind}"
+            label = f"{program.name}:{kind}"
             layer_points.setdefault(label, []).append((
                 metric,
-                _best_time(lambda: sparse_fn(spec, x), rounds),
-                _best_time(lambda: dense_fn(spec, x), rounds)))
+                _best_time(lambda: sparse_fn(program, x), rounds),
+                _best_time(lambda: dense_fn(program, x), rounds)))
         for x, t, weights, axis in capture.pop_records:
             flat = x.reshape(x.shape[0], -1)
             if not flat.size:

@@ -17,10 +17,14 @@ only its four compute hooks to gather the *active* work:
   (``np.nonzero`` + ``np.bincount``) instead of ``T`` full-tensor
   passes.
 
-Why this is bit-exact rather than merely close: every accumulator here
-is an integer-valued float64 sum with magnitude far below ``2**53``,
-so float64 arithmetic is *exact* — dropping terms that are identically
-zero, or reordering the remaining ones, cannot change a single bit.
+Why this is bit-exact rather than merely close: every GEMM goes through
+the layer's cached :class:`~repro.core.gemm.GemmWeights`, the same
+operand the dense path uses.  Its float32 chunks keep every partial sum
+an integer of magnitude at most ``2**24`` (float64 below ``2**53`` when
+a layer's products are too large for that), so the arithmetic is
+*exact* — a gathered subset of rows or taps only has fewer terms, and
+dropping terms that are identically zero, or reordering the remaining
+ones, cannot change a single bit.
 The trace side needs no argument at all: all cycle and memory-traffic
 charges in the parent are closed-form in the layer geometry (the
 accelerator's units sweep every plane whether or not it spikes), and
@@ -84,7 +88,9 @@ class SparseEngine(VectorizedEngine):
                                           self._fallback_default)
 
     # -- compute hooks -------------------------------------------------
-    def _conv_acc(self, spec, x: np.ndarray) -> np.ndarray:
+    def _conv_acc(self, program, x: np.ndarray) -> np.ndarray:
+        spec = program.spec
+        gemm = program.gemm
         n = x.shape[0]
         c_out, h_out, w_out = spec.out_shape
         threshold = self._fallback_for(spec)
@@ -94,26 +100,24 @@ class SparseEngine(VectorizedEngine):
             return acc
         if live.all():
             if np.count_nonzero(x) > x.size * threshold:
-                return super()._conv_acc(spec, x)
+                return super()._conv_acc(program, x)
             xs = x  # all live: skip the gather copy
         else:
             xs = x[live]
-        cols = F.im2col(xs.astype(np.float64), spec.kernel_size,
+        cols = F.im2col(xs.astype(gemm.dtype), spec.kernel_size,
                         spec.stride, spec.padding)
         m, p, k = cols.shape
         flat = cols.reshape(m * p, k)
         active = flat.any(axis=1)
-        flat_k = spec.weights.reshape(c_out, -1).astype(np.float64)
         if active.mean() > threshold:
-            prod = np.rint(flat @ flat_k.T).astype(np.int64)
+            prod = gemm.matmul(flat)
         else:
             prod = np.zeros((m * p, c_out), dtype=np.int64)
             rows = np.nonzero(active)[0]
             if rows.size:
                 sub = flat[rows]
                 taps = sub.any(axis=0)
-                prod[rows] = np.rint(
-                    sub[:, taps] @ flat_k[:, taps].T).astype(np.int64)
+                prod[rows] = gemm.matmul(sub[:, taps], taps)
         acc[live] = (prod.reshape(m, p, c_out).transpose(0, 2, 1)
                      .reshape(m, c_out, h_out, w_out))
         return acc
@@ -128,7 +132,8 @@ class SparseEngine(VectorizedEngine):
             sums[live] = super()._pool_sums(spec, x[live])
         return sums
 
-    def _linear_acc(self, spec, x: np.ndarray) -> np.ndarray:
+    def _linear_acc(self, program, x: np.ndarray) -> np.ndarray:
+        spec = program.spec
         n = x.shape[0]
         live = x.any(axis=1)
         if not live.any():
@@ -136,12 +141,9 @@ class SparseEngine(VectorizedEngine):
         xs = x if live.all() else x[live]
         taps = xs.any(axis=0)
         if taps.mean() > self._fallback_for(spec):
-            out = super()._linear_acc(spec, xs)
+            out = super()._linear_acc(program, xs)
         else:
-            out = np.rint(
-                xs[:, taps].astype(np.float64)
-                @ spec.weights[:, taps].T.astype(np.float64)
-            ).astype(np.int64)
+            out = program.gemm.matmul(xs[:, taps], taps)
         if live.all():
             return out
         acc = np.zeros((n, spec.out_features), dtype=np.int64)

@@ -8,8 +8,18 @@ one integer convolution / pooling / matmul over the radix-decoded
 activations.  It therefore runs each layer as a single im2col-GEMM (or
 window-sum / matmul) over the whole batch and requantizes with the shared
 :func:`~repro.snn.spec.requantize` contract — bit-identical logits by
-construction (float64 GEMMs are exact at these integer magnitudes, the
-same argument ``SNNModel.forward_ints`` relies on).
+construction.
+
+Why the floating-point GEMMs are exact: activations are integers in
+``[0, 2**T - 1]`` and weights small signed integers, so every partial
+sum of a ``K``-term dot product is an integer bounded by
+``K * (2**T - 1) * max|w|``, in whatever order BLAS adds.  Each layer's
+:class:`~repro.core.gemm.GemmWeights` (cached on the compiled program,
+built once per process) splits ``K`` into chunks that keep that bound
+within ``2**24``, where float32 is exact, and adds the chunk results in
+int64 — one chunk per layer for the evaluated models.  A layer where a
+single product can exceed ``2**24`` (large ``T``) falls back to one
+float64 GEMM, exact below ``2**53`` as ``SNNModel.forward_ints`` is.
 
 Trace parity: cycle and memory-traffic counters are charged from the same
 calibrated formulas the unit models charge per loop iteration, collapsed
@@ -136,16 +146,22 @@ class VectorizedEngine(ExecutionEngine):
     # ------------------------------------------------------------------
     # Compute hooks: the arithmetic, separable from the trace charges.
     # Subclasses may override these (and only these) — each must return
-    # the exact integers of the dense formula (float64 GEMMs on integer
-    # operands are exact, so term order / dropped zero terms don't
-    # change a single bit).
+    # the exact integers of the dense formula.  The two GEMM hooks take
+    # the layer program for its cached GemmWeights, which are exact in
+    # any term order, so dropped zero terms and reordering don't change
+    # a single bit.
     # ------------------------------------------------------------------
-    def _conv_acc(self, spec, x: np.ndarray) -> np.ndarray:
+    def _conv_acc(self, program: LayerProgram,
+                  x: np.ndarray) -> np.ndarray:
         """Pre-bias convolution accumulator, ``(N, C_out, H_out, W_out)``."""
-        acc, _ = F.conv2d(x.astype(np.float64),
-                          spec.weights.astype(np.float64),
-                          None, spec.stride, spec.padding)
-        return np.rint(acc).astype(np.int64)
+        spec = program.spec
+        n = x.shape[0]
+        c_out, h_out, w_out = spec.out_shape
+        cols = F.im2col(x.astype(program.gemm.dtype), spec.kernel_size,
+                        spec.stride, spec.padding)
+        acc = program.gemm.matmul(cols.reshape(-1, cols.shape[-1]))
+        return (acc.reshape(n, h_out * w_out, c_out).transpose(0, 2, 1)
+                .reshape(n, c_out, h_out, w_out))
 
     def _pool_sums(self, spec, x: np.ndarray) -> np.ndarray:
         """Integer window sums (pre-shift), ``(N,) + spec.out_shape``."""
@@ -153,11 +169,10 @@ class VectorizedEngine(ExecutionEngine):
             F.avg_pool2d(x.astype(np.float64), spec.size, spec.stride)
             * spec.size * spec.size).astype(np.int64)
 
-    def _linear_acc(self, spec, x: np.ndarray) -> np.ndarray:
+    def _linear_acc(self, program: LayerProgram,
+                    x: np.ndarray) -> np.ndarray:
         """Pre-bias matmul accumulator, ``(N, out_features)``."""
-        return np.rint(
-            x.astype(np.float64) @ spec.weights.T.astype(np.float64)
-        ).astype(np.int64)
+        return program.gemm.matmul(x)
 
     def _popcount_sum(self, x: np.ndarray, t: int,
                       weights: np.ndarray | None = None,
@@ -181,7 +196,7 @@ class VectorizedEngine(ExecutionEngine):
                   t: int) -> _LayerResult:
         spec = program.spec
         cal = self.calibration
-        acc = self._conv_acc(spec, x) + spec.bias.reshape(1, -1, 1, 1)
+        acc = self._conv_acc(program, x) + spec.bias.reshape(1, -1, 1, 1)
         out = requantize(acc, spec.scales, t, channel_axis=1)
 
         c_in, h_in, w_in = spec.in_shape
@@ -251,7 +266,7 @@ class VectorizedEngine(ExecutionEngine):
                     t: int) -> _LayerResult:
         spec = program.spec
         cal = self.calibration
-        acc = self._linear_acc(spec, x) + spec.bias.reshape(1, -1)
+        acc = self._linear_acc(program, x) + spec.bias.reshape(1, -1)
         if spec.is_output:
             out = acc
         else:

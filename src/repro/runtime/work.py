@@ -83,12 +83,14 @@ class Deployment:
     def engine(self):
         """This deployment's engine, via the warm-instance cache.
 
-        Workers call this lazily per item; the cache makes repeat calls
-        O(1) and reuse bit-identical (the warm-cache contract), whether
-        the worker is a thread, a forked process or a remote host.
+        Workers call this lazily per item.  The cache is keyed by
+        :attr:`fingerprint`, which this instance hashes once, so a
+        repeat call is a dict lookup — whether the worker is a thread,
+        a forked process or a remote host — and reuse is bit-identical
+        (the warm-cache contract).
         """
         return warm_engine(self.network, self.config, self.backend,
-                           self.calibration)
+                           self.calibration, key=self.fingerprint)
 
     @cached_property
     def fingerprint(self) -> str:
@@ -97,7 +99,8 @@ class Deployment:
         Two deployments with the same fingerprint produce bit-identical
         results by the warm-cache contract — the registry and the group
         use this to share one deployment-table slot between
-        content-equal registrations, however many names point at it.
+        content-equal registrations, however many names point at it,
+        and :meth:`engine` uses it as the warm-cache key.
         (``cached_property`` writes straight into ``__dict__``, so the
         hash over a VGG's weights is paid once per instance even though
         the dataclass is frozen.)

@@ -47,13 +47,38 @@ def requantize(
     scales = np.asarray(scales, dtype=np.float64)
     shape = [1] * acc.ndim
     shape[channel_axis] = -1
-    scaled = np.floor(acc.astype(np.float64) * scales.reshape(shape) + 0.5)
-    top = (1 << num_steps) - 1
-    return np.clip(scaled, 0, top).astype(np.int64)
+    # In place on one float64 copy: the formula's operations in its
+    # order, without an activation-sized temporary per step.  Each
+    # temporary is a fresh allocation per batch that the C allocator
+    # may hand back to the OS and fault in again next batch.
+    scaled = acc.astype(np.float64)
+    scaled *= scales.reshape(shape)
+    scaled += 0.5
+    np.floor(scaled, out=scaled)
+    np.clip(scaled, 0, (1 << num_steps) - 1, out=scaled)
+    return scaled.astype(np.int64)
+
+
+class _ReadOnlyArrays:
+    """A layer whose weight, bias and scale arrays are read-only, after
+    construction and after unpickling alike, like the frozen dataclass.
+
+    A network's content hash is memoized per instance
+    (:func:`repro.core.engine.cache.content_key`), which is sound only
+    if nothing can write to the arrays afterwards.
+    """
+
+    def _freeze_arrays(self) -> None:
+        for array in (self.weights, self.bias, self.scales):
+            array.flags.writeable = False
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._freeze_arrays()
 
 
 @dataclass(frozen=True)
-class QuantConvSpec:
+class QuantConvSpec(_ReadOnlyArrays):
     """An integer convolution layer (weights, bias, requantization).
 
     ``weights`` has shape ``(C_out, C_in, Kr, Kc)`` with small signed
@@ -79,6 +104,7 @@ class QuantConvSpec:
         c_out = self.weights.shape[0]
         if self.bias.shape != (c_out,) or self.scales.shape != (c_out,):
             raise ShapeError("bias/scales must have one entry per channel")
+        self._freeze_arrays()
 
     @property
     def kernel_size(self) -> tuple[int, int]:
@@ -128,7 +154,7 @@ class QuantPoolSpec:
 
 
 @dataclass(frozen=True)
-class QuantLinearSpec:
+class QuantLinearSpec(_ReadOnlyArrays):
     """An integer fully-connected layer.
 
     ``is_output`` marks the classifier head: its accumulator is the logit
@@ -151,6 +177,7 @@ class QuantLinearSpec:
                 f"linear weights {self.weights.shape} do not match "
                 f"({self.out_features}, {self.in_features})"
             )
+        self._freeze_arrays()
 
     @property
     def num_weights(self) -> int:

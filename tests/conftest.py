@@ -14,6 +14,11 @@ import numpy as np
 import pytest
 
 
+def pytest_configure(config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: long-running test (deselect with -m 'not slow')")
+
+
 def seed_for(name: str) -> int:
     """Deterministic per-test seed (overridable via REPRO_TEST_SEED)."""
     env = os.environ.get("REPRO_TEST_SEED")

@@ -156,8 +156,13 @@ class TestGroupUnderChaos:
         chaos = ChaosPolicy(kill={"doomed": 1})
         workers = [ProcessWorker(name="doomed"),
                    ThreadWorker(name="healthy")]
+        # steal=False keeps the pin: with stealing on, the healthy
+        # thread lane could drain all six items before the doomed
+        # lane's first dispatch, and the kill would never land.  Crash
+        # requeues still move work between lanes.
         with WorkerGroup(workers, deployments=[deployment],
-                         chaos=chaos, heartbeat_s=30.0) as group:
+                         chaos=chaos, heartbeat_s=30.0,
+                         steal=False) as group:
             # Pin everything to the doomed lane: its first dispatch is
             # chaos-killed, so recovery has to move all of it.
             results = group.run(items, assignment=[0] * len(items))
@@ -174,6 +179,8 @@ class TestGroupUnderChaos:
 
         server = WorkerServer().start()
         try:
+            # Draw 1 is the hello inside group.start(), so the sever
+            # lands before any item is queued: no steal race to lose.
             chaos = ChaosPolicy(sever={"cut": 1})
             workers = [RemoteWorker("127.0.0.1", server.port,
                                     name="cut"),
