@@ -12,12 +12,12 @@ The zero-copy PR's two claims, measured and gated:
   shared-memory image lane are both on the timed path.  Bit-equality
   against a serial thread-lane baseline rides along with every
   measurement.
-* **Wire bytes** — shipping a work item as a binary frame (JSON header
-  + raw buffers, lossless COO for mostly-zero planes) must cut the
-  per-item wire bytes by >= 4x against the v1 base64-JSON line encoding
-  for event-style sparse inputs (hard gate everywhere; the dense-input
-  ratio is recorded for context — base64 alone costs 4/3x, so dense
-  frames land near 1.33x).
+* **Wire bytes** — shipping an event-style sparse work item as an RBF1
+  frame with lossless COO for mostly-zero planes must cut the per-item
+  wire bytes by >= 4x against the same frame with every array forced to
+  a raw buffer (``coo_ratio=0.0``) — hard gate everywhere.  The
+  dense-input ratio is recorded for context: the encoder keeps dense
+  arrays raw, so it lands at 1.0x.
 
 Results land in ``artifacts/bench_zero_copy.json`` next to the other
 trajectory files (backends, sweep, serve, runtime, multimodel).
@@ -46,13 +46,11 @@ from repro.runtime import (
     WorkItem,
     WorkerGroup,
     create_workers,
-    encode_array,
     encode_frame,
-    encode_line,
     shm_available,
 )
+from repro.core.engine.calibrate import probe_batch
 
-from benchmarks.bench_backends import _event_batch
 from benchmarks.conftest import (
     FAST_MODE,
     multicore,
@@ -67,6 +65,11 @@ NUM_ITEMS = 8 if FAST_MODE else 12
 ITEM_BATCH = 64 if FAST_MODE else 96
 WIRE_BATCH = 64
 WIRE_REDUCTION_GATE = 4.0
+#: Event frames for the wire gate: one 6x6 blob per live 32x32 frame,
+#: half the frames silent — 36 / 1024 / 2, about 1.8 % nonzero pixels.
+WIRE_SHAPE = (1, 32, 32)
+WIRE_SILENT_FRAC = 0.5
+WIRE_DENSITY = 36 / (32 * 32) * (1 - WIRE_SILENT_FRAC)
 
 
 def _deployment(rng) -> Deployment:
@@ -120,30 +123,32 @@ def run_lane_scaling(rng) -> dict:
 
 
 def _wire_bytes(images: np.ndarray) -> tuple[int, int]:
-    """(v1 base64-JSON line bytes, binary frame bytes) for one item."""
+    """(raw-buffer frame bytes, encoder-chosen frame bytes) for one
+    item."""
     payload = {"op": "execute", "item_id": 0, "deployment": 0}
-    json_line = encode_line({**payload, "images": encode_array(images)})
+    raw = encode_frame(payload, {"images": images}, coo_ratio=0.0)
     frame = encode_frame(payload, {"images": images})
-    return len(json_line), len(frame)
+    return len(raw), len(frame)
 
 
 def run_wire_comparison(rng) -> dict:
-    """Per-item wire bytes, binary frame vs base64-JSON line."""
-    sparse = _event_batch(rng, (1, 32, 32), WIRE_BATCH)
-    dense = rng.random((WIRE_BATCH, 1, 32, 32))
+    """Per-item wire bytes, COO-capable frame vs raw-buffer frame."""
+    sparse = probe_batch(WIRE_SHAPE, WIRE_DENSITY, WIRE_BATCH, rng,
+                         silent_frac=WIRE_SILENT_FRAC)
+    dense = rng.random((WIRE_BATCH,) + WIRE_SHAPE)
 
-    sparse_json, sparse_frame = _wire_bytes(sparse)
-    dense_json, dense_frame = _wire_bytes(dense)
+    sparse_raw, sparse_frame = _wire_bytes(sparse)
+    dense_raw, dense_frame = _wire_bytes(dense)
     return {
         "batch": WIRE_BATCH,
         "sparse_input_density": float(
             np.count_nonzero(sparse) / sparse.size),
-        "sparse_json_bytes": sparse_json,
+        "sparse_raw_bytes": sparse_raw,
         "sparse_frame_bytes": sparse_frame,
-        "reduction_sparse": sparse_json / sparse_frame,
-        "dense_json_bytes": dense_json,
+        "reduction_sparse": sparse_raw / sparse_frame,
+        "dense_raw_bytes": dense_raw,
         "dense_frame_bytes": dense_frame,
-        "reduction_dense": dense_json / dense_frame,
+        "reduction_dense": dense_raw / dense_frame,
     }
 
 
@@ -171,12 +176,12 @@ def _render(payload: dict) -> Table:
     table.add_row("wire item",
                   f"{wire['batch']} images, density "
                   f"{wire['sparse_input_density']:.3f}")
-    table.add_row("sparse json -> frame bytes",
-                  f"{wire['sparse_json_bytes']} -> "
+    table.add_row("sparse raw -> frame bytes",
+                  f"{wire['sparse_raw_bytes']} -> "
                   f"{wire['sparse_frame_bytes']} "
                   f"({wire['reduction_sparse']:.1f}x)")
-    table.add_row("dense json -> frame bytes",
-                  f"{wire['dense_json_bytes']} -> "
+    table.add_row("dense raw -> frame bytes",
+                  f"{wire['dense_raw_bytes']} -> "
                   f"{wire['dense_frame_bytes']} "
                   f"({wire['reduction_dense']:.2f}x)")
     return table
@@ -187,9 +192,9 @@ def check_gates(payload: dict) -> None:
     assert payload["lanes"]["bit_identical"]
     reduction = payload["wire"]["reduction_sparse"]
     assert reduction >= WIRE_REDUCTION_GATE, \
-        (f"binary frames must cut per-item wire bytes >= "
-         f"{WIRE_REDUCTION_GATE}x vs base64-JSON on sparse input, "
-         f"measured {reduction:.2f}x")
+        (f"COO frames must cut per-item wire bytes >= "
+         f"{WIRE_REDUCTION_GATE}x vs raw-buffer frames on sparse "
+         f"input, measured {reduction:.2f}x")
     if multicore(2):
         speedup = payload["lanes"]["speedup_2_vs_1"]
         assert speedup > 1.0, \

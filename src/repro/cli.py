@@ -504,7 +504,7 @@ def _run_worker(args) -> None:
         daemon = threading.Thread(
             target=lambda: stats_box.append(join_fabric(
                 host, port, token=args.token, retry_s=args.retry_s,
-                frames=args.frames, stop_event=stop, window=window)),
+                stop_event=stop, window=window)),
             name="repro-join", daemon=True)
         daemon.start()
         try:
@@ -524,7 +524,7 @@ def _run_worker(args) -> None:
 
     host, port = args.listen
     server = WorkerServer(host, port, token=args.token,
-                          frames=args.frames, window=window).start()
+                          window=window).start()
     print(f"engine worker listening on {server.host}:{server.port} "
           f"({'token-authenticated' if args.token else 'no token'}; "
           "trusted networks only); Ctrl-C to stop")
@@ -597,12 +597,6 @@ def main(argv: list[str] | None = None) -> int:
                         default=1.0, metavar="S",
                         help="worker --join: reconnect period "
                              "(default: 1.0)")
-    parser.add_argument("--frames", choices=["binary", "json"],
-                        default="binary",
-                        help="worker: wire framing — 'binary' "
-                             "negotiates zero-copy array frames with "
-                             "capable peers, 'json' pins the v1 "
-                             "JSON-lines protocol (default: binary)")
     parser.add_argument("--accept", type=_parse_listen, default=None,
                         metavar="HOST:PORT",
                         help="sweep: accept `repro worker --join` hosts "

@@ -69,7 +69,7 @@ class DeploymentError(ReproError):
 class CodecError(ReproError):
     """Raised when a wire frame fails structural validation.
 
-    The binary frame codec validates the magic, the declared lengths and
+    The RBF1 frame codec validates the magic, the declared lengths and
     every array descriptor (whitelisted dtype, shape/byte accounting)
     *before* allocating or copying any buffer, so a truncated header, an
     oversized length prefix or a smuggled dtype is rejected as this

@@ -5,8 +5,9 @@
 shards across a :class:`~repro.runtime.WorkerGroup` — any mix of
 ``thread`` lanes (in-process), ``process`` lanes (forked children) and
 ``host:port`` remote TCP engine workers (hosts running ``repro worker
---listen``).  The driver owns only sweep *policy* — sharding, adaptive
-sizing, the persistent result store, progress reporting — while the
+--listen``).  The driver owns only sweep *policy* — sharding,
+saturation-aware sizing, the persistent result store, progress
+reporting — while the
 fabric owns worker lifecycle: scheduling, work stealing between idle
 lanes, heartbeat liveness and crash requeueing.
 
@@ -75,11 +76,6 @@ from repro.runtime import (
 
 __all__ = ["SweepDriver", "SweepProgress", "SweepSummary"]
 
-#: Adaptive sizing aims for this many units per worker: enough
-#: granularity that a straggling shard cannot tail-block the pool, few
-#: enough that per-unit overhead stays negligible.
-_ADAPTIVE_UNITS_PER_WORKER = 8
-
 #: Saturation-aware sizing grows shards until per-unit overhead (batch
 #: setup + fabric dispatch) drops below this fraction of the unit's
 #: compute time — the lane spends >= 95 % of its wall clock computing.
@@ -113,10 +109,9 @@ class SweepSummary:
     num_images: int
     cached_tasks: int
     wall_s: float
-    adaptive: bool = False
     #: True when shard sizes came from the saturation-aware sizer.
     saturate: bool = False
-    #: Per-task shard sizes chosen by the adaptive/saturating probe
+    #: Per-task shard sizes chosen by the saturating probe
     #: (key -> images per unit); ``None`` for fixed-size runs.
     task_shard_sizes: dict | None = None
     #: The lane specs the fabric ran on (("thread",), ("process", ...)).
@@ -155,29 +150,19 @@ class SweepDriver:
     shard_size:
         Images per work unit.  Smaller shards balance better across
         lanes; the merged result is invariant to this choice.
-    adaptive:
-        Size shards from a measured per-image cost probe instead of
-        using ``shard_size`` uniformly: each pending task runs a few
-        probe images inline (on its warm engine — the work is not
-        wasted, the compile is reused), and shard sizes are chosen so
-        every unit costs roughly the same wall time.  Heterogeneous work
-        lists (a VGG cell next to LeNet cells) then finish together
-        instead of the expensive task tail-blocking the pool.  Results
-        remain bit-identical — shard boundaries never affect the merge.
     saturate:
-        Saturation-aware shard sizing (mutually exclusive with
-        ``adaptive``): probe each task's per-image *and* per-batch cost
-        inline, add the deployment's calibrated fabric dispatch cost
-        (from its :class:`~repro.core.engine.calibrate.CalibrationTable`
-        when one exists), and grow shards until per-unit overhead falls
-        below 5 % of unit compute — lanes then spend their wall clock
-        computing, not dispatching.  Matters most for cheap-per-image
+        Saturation-aware shard sizing: probe each task's per-image *and*
+        per-batch cost inline, add the deployment's calibrated fabric
+        dispatch cost (from its
+        :class:`~repro.core.engine.calibrate.CalibrationTable` when one
+        exists), and grow shards until per-unit overhead falls below 5 %
+        of unit compute — lanes then spend their wall clock computing,
+        not dispatching.  Matters most for cheap-per-image
         work (sparse/event workloads) where a fixed shard size leaves
         lanes dominated by dispatch.  Results remain bit-identical —
         shard boundaries never affect the merge.
     probe_images:
-        Images per adaptive/saturating cost probe (clamped to the task
-        size).
+        Images per saturating cost probe (clamped to the task size).
     steal:
         Let idle lanes steal queued units from busy peers (default).
         Turning it off pins units to their initially assigned lane —
@@ -209,7 +194,6 @@ class SweepDriver:
         shard_size: int = 64,
         store: ArtifactStore | None = None,
         progress=None,
-        adaptive: bool = False,
         saturate: bool = False,
         probe_images: int = 4,
         steal: bool = True,
@@ -222,14 +206,9 @@ class SweepDriver:
         if probe_images < 1:
             raise ConfigurationError(
                 f"probe_images must be >= 1, got {probe_images}")
-        if adaptive and saturate:
-            raise ConfigurationError(
-                "adaptive and saturate shard sizing are mutually "
-                "exclusive — pick one")
         self.worker_specs = normalize_worker_specs(workers)
         self.workers = workers
         self.shard_size = shard_size
-        self.adaptive = adaptive
         self.saturate = saturate
         self.probe_images = probe_images
         self.steal = steal
@@ -289,11 +268,7 @@ class SweepDriver:
                   "joined": 0, "readmitted": 0}
         if pending:
             sizes: int | list[int] = self.shard_size
-            if self.adaptive:
-                sizes = self._adaptive_shard_sizes(pending)
-                task_shard_sizes = {task.key: size for task, size
-                                    in zip(pending, sizes)}
-            elif self.saturate:
+            if self.saturate:
                 sizes = self._saturating_shard_sizes(pending)
                 task_shard_sizes = {task.key: size for task, size
                                     in zip(pending, sizes)}
@@ -313,7 +288,6 @@ class SweepDriver:
             num_images=sum(t.num_images for t in pending),
             cached_tasks=len(tasks) - len(pending),
             wall_s=time.perf_counter() - started,
-            adaptive=self.adaptive,
             saturate=self.saturate,
             task_shard_sizes=task_shard_sizes,
             executors=tuple(self.worker_specs),
@@ -325,49 +299,16 @@ class SweepDriver:
         return {key: outcomes[key] for key in keys}
 
     # ------------------------------------------------------------------
-    # Adaptive shard sizing
+    # Saturation-aware shard sizing
     # ------------------------------------------------------------------
-    def _adaptive_shard_sizes(self, tasks) -> list[int]:
-        """Equal-cost shard sizes from a measured per-image probe.
-
-        Runs ``probe_images`` of each task through its warm engine (the
-        compile this triggers is exactly the one the run needs, so the
-        probe's dominant cost is paid anyway) and sizes shards so each
-        unit costs about ``total cost / (lanes x
-        _ADAPTIVE_UNITS_PER_WORKER)`` seconds: cheap tasks get wide
-        shards, expensive ones narrow shards, and the fabric drains
-        units of comparable wall time.  Only scheduling changes — the
-        merged outcome is bit-identical to any fixed shard size.
-        """
-        costs = []
-        for task in tasks:
-            engine = warm_engine(task.network, task.config, task.backend,
-                                 task.calibration)
-            probe = task.images[:min(self.probe_images, task.num_images)]
-            start_time = time.perf_counter()
-            engine.run_batch(probe)
-            elapsed = time.perf_counter() - start_time
-            # Guard against timer quantization on very fast probes.
-            costs.append(max(elapsed / len(probe), 1e-9))
-        total_cost = sum(cost * task.num_images
-                         for cost, task in zip(costs, tasks))
-        target = total_cost / (len(self.worker_specs)
-                               * _ADAPTIVE_UNITS_PER_WORKER)
-        sizes = []
-        for cost, task in zip(costs, tasks):
-            size = int(target / cost) if cost else task.num_images
-            sizes.append(max(1, min(size, task.num_images,
-                                    4 * self.shard_size)))
-        return sizes
-
     def _saturating_shard_sizes(self, tasks) -> list[int]:
         """Grow shards until per-unit overhead stops mattering.
 
         Every work unit pays a fixed tax — the engine's per-batch setup
         plus the fabric's dispatch cost (submit, transfer, result
-        shipping).  The adaptive sizer ignores that tax; on cheap
-        sparse/event workloads it dominates, and lanes spend their time
-        dispatching instead of computing.  This sizer measures each
+        shipping).  On cheap sparse/event workloads that tax dominates,
+        and lanes spend their time dispatching instead of computing.
+        This sizer measures each
         task's per-image and per-batch cost inline (batch-of-1 vs
         batch-of-K on the warm engine, best of three so a stray
         scheduler hiccup cannot skew the split; the K probe images are

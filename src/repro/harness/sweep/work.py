@@ -173,9 +173,9 @@ def shard_tasks(tasks, shard_size) -> list[WorkUnit]:
     """Slice every task's image range into work units.
 
     ``shard_size`` is one images-per-unit count applied to every task, or
-    a sequence of per-task counts (the adaptive driver sizes shards from
-    measured per-image cost, so heterogeneous tasks get different
-    sizes).  Units are emitted task-major in ascending image order; the
+    a sequence of per-task counts (the saturating driver sizes shards
+    from measured per-image and per-batch cost, so heterogeneous tasks
+    get different sizes).  Units are emitted task-major in ascending image order; the
     merge re-sorts by ``(task_index, start)`` anyway, so neither
     scheduling order nor the shard sizes affect results.
     """

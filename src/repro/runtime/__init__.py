@@ -4,8 +4,8 @@
 A :class:`Worker` executes :class:`WorkItem` batches on warm engines and
 returns logits plus per-image trace aggregates; three interchangeable
 executors ship (``thread``, ``process``, ``remote`` — the last over
-TCP to a host running ``repro worker --listen``, negotiating zero-copy
-binary frames with a JSON-lines fallback for old peers); a
+TCP to a host running ``repro worker --listen``, speaking zero-copy
+RBF1 frames from the first byte); a
 :class:`WorkerGroup` schedules items across any mix of them with work
 stealing, heartbeat liveness tracking and crash requeueing.
 
@@ -30,14 +30,8 @@ Quick tour::
 from repro.runtime.codec import (
     attach_token,
     check_token,
-    decode_array,
-    decode_blob,
     decode_frame,
-    decode_line,
-    encode_array,
-    encode_blob,
     encode_frame,
-    encode_line,
     fabric_auth,
     parse_frame_prefix,
     read_frame,
@@ -91,14 +85,8 @@ __all__ = [
     "attach_token",
     "check_token",
     "create_workers",
-    "decode_array",
-    "decode_blob",
     "decode_frame",
-    "decode_line",
-    "encode_array",
-    "encode_blob",
     "encode_frame",
-    "encode_line",
     "execute_item",
     "fabric_auth",
     "join_fabric",

@@ -1,22 +1,16 @@
-"""Wire codecs shared by the worker fabric and the serving transport.
+"""RBF1: the one wire framing of the worker fabric and the serving transport.
 
-Two framings cross sockets in this repo, both defined here so the wire
-surfaces can never drift apart:
-
-* **JSON lines** (the v1 framing, and the negotiation fallback) — one
-  JSON object per line, encoded by :func:`encode_line` and parsed by
-  :func:`decode_line`, arrays riding as base64 envelopes
-  (:func:`encode_array`).
-* **Binary frames** (negotiated per connection) — a length-prefixed
-  frame carrying a small JSON header plus the raw ndarray buffers
-  appended verbatim: :func:`encode_frame` / :func:`decode_frame` /
-  :func:`read_frame`.  No base64, no pickle for arrays; decoding maps
-  each buffer back with ``np.frombuffer`` (zero copies), and arrays
-  whose contents are mostly zeros — spike-sparse workloads, the paper's
-  whole premise — ship as lossless COO (flat indices + values) when
-  that is smaller.  Either representation rebuilds the array
-  byte-for-byte, so binary lanes stay inside the fabric's bit-exactness
-  contract.
+Both TCP surfaces (:mod:`repro.runtime.remote` and
+:mod:`repro.serve.transport`) speak length-prefixed frames from a
+connection's first byte, encoded by :func:`encode_frame` and parsed by
+:func:`decode_frame` / :func:`read_frame`.  A frame carries a small JSON
+header (the message: op, ids, knobs, auth proof) plus raw ndarray
+buffers appended verbatim.  No base64, no pickle for arrays; decoding
+maps each buffer back with ``np.frombuffer`` (zero copies), and arrays
+whose contents are mostly zeros — spike-sparse workloads, the paper's
+whole premise — ship as lossless COO (flat indices + values) when that
+is smaller.  Either representation rebuilds the array byte-for-byte, so
+remote lanes stay inside the fabric's bit-exactness contract.
 
 Frame layout (all integers little-endian)::
 
@@ -31,25 +25,17 @@ array descriptor's dtype (whitelist), shape and byte accounting — is
 validated **before any buffer is allocated or copied**; violations raise
 :class:`~repro.errors.CodecError`.  A hostile peer can therefore make a
 connection fail typed, but cannot make it allocate gigabytes or
-interpret bytes as objects.
+interpret bytes as objects.  A peer speaking anything else (a JSON line,
+an HTTP request) fails the magic check on its first four bytes.
 
-Numeric payloads ride inside the JSON as compact, bit-exact envelopes:
-
-* :func:`encode_array` / :func:`decode_array` — a numpy array as
-  ``{dtype, shape, data}`` with the raw buffer base64-encoded.  The
-  decoded array is byte-for-byte identical to the original, which is
-  what lets a remote engine worker produce results bit-identical to a
-  local run (the fabric's acceptance contract).
-* :func:`encode_blob` / :func:`decode_blob` — an arbitrary picklable
-  object (deployment specs: quantized networks, configs, calibrations)
-  as base64-wrapped pickle.  **Blobs are code-adjacent data: only
-  exchange them between mutually trusted hosts.**  The worker fabric is
-  a lab/cluster tool, not an internet-facing service.
-
-An optional shared secret softens that caveat: with a token configured
+The fabric's ``deploy`` op ships its deployment table as a pickle in a
+``uint8`` array of the frame body.  **Pickles are code-adjacent data:
+only exchange them between mutually trusted hosts.**  The worker fabric
+is a lab/cluster tool, not an internet-facing service.  An optional
+shared secret softens that caveat: with a token configured
 (``repro worker --listen --token T``), every payload must carry a valid
 ``auth`` field (:func:`attach_token`) or the server rejects it before
-any blob is unpickled (:func:`check_token`).  The auth value is an HMAC
+anything is unpickled (:func:`check_token`).  The auth value is an HMAC
 of the token, compared in constant time — a fabric membership proof
 against accidental or opportunistic connections, not a substitute for a
 trusted network (payloads are neither encrypted nor replay-protected).
@@ -57,12 +43,10 @@ trusted network (payloads are neither encrypted nor replay-protected).
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import hmac
 import json
 import os
-import pickle
 import struct
 
 import numpy as np
@@ -75,14 +59,8 @@ __all__ = [
     "FRAME_PREFIX_LEN",
     "attach_token",
     "check_token",
-    "decode_array",
-    "decode_blob",
     "decode_frame",
-    "decode_line",
-    "encode_array",
-    "encode_blob",
     "encode_frame",
-    "encode_line",
     "fabric_auth",
     "get_coo_ratio",
     "parse_frame_prefix",
@@ -91,79 +69,27 @@ __all__ = [
 ]
 
 
-#: Cached telemetry children, one per (direction, encoding) — allocated
-#: lazily on first use, so the codec stays import-cheap and the hot path
-#: pays one dict lookup + one counter add per message.
-_BYTE_COUNTERS: dict[tuple[str, str], object] = {}
+#: Cached telemetry children, one per direction — allocated lazily on
+#: first use, so the codec stays import-cheap and the hot path pays one
+#: dict lookup + one counter add per frame.
+_BYTE_COUNTERS: dict[str, object] = {}
 
 
-def _count_bytes(direction: str, encoding: str, nbytes: int) -> None:
-    child = _BYTE_COUNTERS.get((direction, encoding))
+def _count_bytes(direction: str, nbytes: int) -> None:
+    child = _BYTE_COUNTERS.get(direction)
     if child is None:
         from repro.telemetry import get_registry
         child = get_registry().counter(
             "repro_codec_bytes_total",
-            "Bytes crossing the wire codecs, by direction and encoding",
-            labelnames=("direction", "encoding"),
-        ).labels(direction=direction, encoding=encoding)
-        _BYTE_COUNTERS[(direction, encoding)] = child
+            "Bytes crossing the wire codec, by direction",
+            labelnames=("direction",),
+        ).labels(direction=direction)
+        _BYTE_COUNTERS[direction] = child
     child.inc(nbytes)
 
 
-def encode_line(payload: dict) -> bytes:
-    """One JSON message, newline-terminated (the shared framing)."""
-    data = (json.dumps(payload) + "\n").encode()
-    _count_bytes("sent", "json", len(data))
-    return data
-
-
-def decode_line(line: bytes | str) -> dict:
-    """Parse one framed line; raises ``ValueError`` on non-object JSON."""
-    message = json.loads(line)
-    if not isinstance(message, dict):
-        raise ValueError("message must be a JSON object")
-    _count_bytes("received", "json", len(line))
-    return message
-
-
-def encode_array(array: np.ndarray) -> dict:
-    """A numpy array as a JSON-safe ``{dtype, shape, data}`` envelope."""
-    array = np.ascontiguousarray(array)
-    return {
-        "dtype": str(array.dtype),
-        "shape": list(array.shape),
-        "data": base64.b64encode(array.tobytes()).decode("ascii"),
-    }
-
-
-def decode_array(payload: dict) -> np.ndarray:
-    """Rebuild an array bit-identically from its wire envelope.
-
-    The returned array is a **read-only** view over the decoded buffer:
-    wrapping the base64 output directly (instead of the historical
-    ``frombuffer(...).copy()``) saves one full-buffer copy per message.
-    Fabric consumers only ever read decoded arrays (engines quantize
-    into fresh tensors, result handling argmaxes/merges); a caller that
-    needs to mutate one copies explicitly.
-    """
-    raw = base64.b64decode(payload["data"])
-    array = np.frombuffer(raw, dtype=np.dtype(payload["dtype"]))
-    return array.reshape(tuple(payload["shape"]))
-
-
-def encode_blob(obj) -> str:
-    """Pickle + base64 an object (deployments; trusted fabric only)."""
-    return base64.b64encode(
-        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)).decode("ascii")
-
-
-def decode_blob(text: str) -> object:
-    """Inverse of :func:`encode_blob` (trusted fabric only)."""
-    return pickle.loads(base64.b64decode(text))
-
-
 # ----------------------------------------------------------------------
-# Binary frames — the negotiated zero-copy framing
+# RBF1 frames
 # ----------------------------------------------------------------------
 FRAME_MAGIC = b"RBF1"
 FRAME_PREFIX_LEN = 16                    # magic + uint32 hlen + uint64 blen
@@ -174,6 +100,7 @@ _PREFIX_STRUCT = struct.Struct("<4sIQ")
 #: yet small enough that a hostile length prefix cannot OOM the host.
 MAX_HEADER_BYTES = 1 << 20               # 1 MiB of JSON header
 MAX_BODY_BYTES = 1 << 31                 # 2 GiB of array buffers
+_MAX_NDIM = 32                           # numpy itself stops at 64
 
 #: The only dtypes allowed on the wire.  Names are matched as exact
 #: strings *before* ``np.dtype`` ever sees attacker input, so a frame
@@ -235,7 +162,7 @@ def _sparse_wins(array: np.ndarray, nnz: int,
 def encode_frame(payload: dict,
                  arrays: dict[str, np.ndarray] | None = None,
                  *, coo_ratio: float | None = None) -> bytes:
-    """One binary frame: JSON header + raw array buffers.
+    """One RBF1 frame: JSON header + raw array buffers.
 
     ``arrays`` ride outside the JSON as contiguous buffers (or lossless
     COO index/value pairs when mostly zero); ``payload`` must be
@@ -246,25 +173,29 @@ def encode_frame(payload: dict,
     buffers: list[bytes | memoryview] = []
     offset = 0
 
-    def _append(buffer) -> tuple[int, int]:
+    def _append(buffer: np.ndarray) -> tuple[int, int]:
         nonlocal offset
-        view = memoryview(buffer).cast("B")
+        # Flat first: memoryview refuses to cast an empty N-d view.
+        view = memoryview(buffer.reshape(-1)).cast("B")
         start, nbytes = offset, view.nbytes
         buffers.append(view)
         offset += nbytes
         return start, nbytes
 
     for name, array in (arrays or {}).items():
-        array = np.ascontiguousarray(array)
+        array = np.asarray(array, order="C")   # keeps 0-d arrays 0-d
         dtype = str(array.dtype)
         if dtype not in _WIRE_DTYPES:
             raise CodecError(
                 f"array {name!r} has non-wire dtype {dtype!r}")
         descriptor = {"dtype": dtype, "shape": list(array.shape)}
         flat = array.reshape(-1)
-        nnz = int(np.count_nonzero(flat)) if array.size else 0
+        # Sparsity by bit pattern, not value: -0.0 is "zero" to
+        # count_nonzero but must still ship to round-trip bit-exactly.
+        bits = flat.view(f"u{flat.itemsize}")
+        nnz = int(np.count_nonzero(bits)) if array.size else 0
         if _sparse_wins(array, nnz, coo_ratio):
-            indices = np.flatnonzero(flat).astype(np.uint32)
+            indices = np.flatnonzero(bits).astype(np.uint32)
             values = np.ascontiguousarray(flat[indices])
             descriptor["enc"] = "coo"
             descriptor["count"] = int(indices.size)
@@ -285,9 +216,21 @@ def encode_frame(payload: dict,
         raise CodecError(f"frame body is {offset} bytes "
                          f"(cap {MAX_BODY_BYTES})")
     prefix = _PREFIX_STRUCT.pack(FRAME_MAGIC, len(header), offset)
-    _count_bytes("sent", "binary",
-                 FRAME_PREFIX_LEN + len(header) + offset)
+    _count_bytes("sent", FRAME_PREFIX_LEN + len(header) + offset)
     return b"".join([prefix, header, *buffers])
+
+
+def _checked_magic(magic: bytes) -> bytes:
+    """Refuse a foreign protocol from its first four bytes.
+
+    Readers check the magic before waiting for the rest of the prefix,
+    so a peer speaking something else (a JSON line shorter than a
+    prefix) is answered at once instead of blocking on bytes it will
+    never send.
+    """
+    if magic != FRAME_MAGIC:
+        raise CodecError(f"bad frame magic {magic!r}")
+    return magic
 
 
 def parse_frame_prefix(prefix: bytes) -> tuple[int, int]:
@@ -325,18 +268,21 @@ def _decode_descriptor(name: str, descriptor, body: memoryview
     _require(isinstance(descriptor, dict),
              f"array descriptor {name!r} must be an object")
     dtype_name = descriptor.get("dtype")
-    _require(dtype_name in _WIRE_DTYPES,
+    _require(isinstance(dtype_name, str) and dtype_name in _WIRE_DTYPES,
              f"array {name!r} smuggles dtype {dtype_name!r}")
     dtype = np.dtype(dtype_name)
     shape = descriptor.get("shape")
-    _require(isinstance(shape, list)
+    _require(isinstance(shape, list) and len(shape) <= _MAX_NDIM
              and all(isinstance(s, int) and s >= 0 for s in shape),
              f"array {name!r} has a malformed shape")
-    size = 1
+    # ``span`` ignores zero extents, so a shape like [0, 2**62] cannot
+    # slip past the cap and then fail inside numpy's reshape.
+    size = span = 1
     for extent in shape:
         size *= extent
-    _require(size * dtype.itemsize <= MAX_BODY_BYTES,
-             f"array {name!r} declares {size} elements (over cap)")
+        span *= max(extent, 1)
+    _require(span * dtype.itemsize <= MAX_BODY_BYTES,
+             f"array {name!r} declares {span} elements (over cap)")
 
     def _slice(offset, nbytes) -> memoryview:
         _require(isinstance(offset, int) and isinstance(nbytes, int)
@@ -387,7 +333,7 @@ def decode_frame(header: bytes | memoryview,
     """
     try:
         parsed = json.loads(bytes(header))
-    except (ValueError, UnicodeDecodeError) as error:
+    except (ValueError, RecursionError) as error:
         raise CodecError(f"frame header is not valid JSON: {error}") \
             from error
     _require(isinstance(parsed, dict)
@@ -398,7 +344,7 @@ def decode_frame(header: bytes | memoryview,
     arrays = {str(name): _decode_descriptor(str(name), descriptor,
                                             body_view)
               for name, descriptor in parsed["arrays"].items()}
-    _count_bytes("received", "binary",
+    _count_bytes("received",
                  FRAME_PREFIX_LEN + len(header) + body_view.nbytes)
     return parsed["payload"], arrays
 
@@ -411,10 +357,12 @@ def read_frame(reader) -> tuple[dict, dict[str, np.ndarray]] | None:
     The declared lengths are validated against the caps *before* the
     header/body reads, so no oversized buffer is ever allocated.
     """
-    prefix = reader.read(FRAME_PREFIX_LEN)
-    if not prefix:
+    magic = reader.read(len(FRAME_MAGIC))
+    if not magic:
         return None
-    header_len, body_len = parse_frame_prefix(prefix)
+    header_len, body_len = parse_frame_prefix(
+        _checked_magic(magic)
+        + reader.read(FRAME_PREFIX_LEN - len(FRAME_MAGIC)))
     header = reader.read(header_len)
     _require(len(header) == header_len,
              f"frame truncated in header ({len(header)}/{header_len} "
@@ -450,7 +398,7 @@ def check_token(payload: dict, token: str | None) -> bool:
     With no token configured every payload passes; with one, the payload
     must carry a matching ``auth`` field.  Callers reject failing
     payloads with :class:`~repro.errors.FabricAuthError` *before*
-    touching any pickled blob they carry.
+    touching any pickle they carry.
     """
     if token is None:
         return True

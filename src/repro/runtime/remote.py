@@ -1,4 +1,4 @@
-"""Remote engine workers: the fabric over JSON-lines TCP.
+"""Remote engine workers: the fabric over RBF1-framed TCP.
 
 A host joins the fabric two ways:
 
@@ -12,52 +12,54 @@ A host joins the fabric two ways:
   enters a sweep or a serving pool **mid-run** — the listener admits the
   socket as a new lane via ``WorkerGroup.add_lane``.
 
-The protocol starts as newline-delimited JSON (``repro.runtime.codec``),
-one request per line, answered in order::
+Every message, from a connection's first byte, is one RBF1 frame of
+:mod:`repro.runtime.codec`: a JSON header plus raw ndarray buffers
+(written ``+ arrays`` below).  Requests are answered in order::
 
-    {"op": "hello", "frames": ["binary"]}  -> {"ok": true, "frames": "..."}
+    {"op": "hello"}                        -> {"ok": true, "pid": ...,
+                                               "window": W}
     {"op": "ping"}                         -> {"ok": true, "pid": ...}
-    {"op": "deploy", "blob": "<b64>"}      -> {"ok": true, "deployments": N}
+    {"op": "deploy"} + blob (uint8 pickle) -> {"ok": true, "deployments": N}
     {"op": "execute", "item_id": 7,
-     "deployment": 0, "images": {...}}     -> {"ok": true, "item_id": 7,
-                                               "logits": {...},
+     "deployment": 0} + images             -> {"ok": true, "item_id": 7,
                                                "traces": [...],
                                                "elapsed_s": ..., "pid": ...}
+                                              + logits
     {"op": "execute_many",
      "items": [{"item_id", "deployment"},
-               ...], "images:0": {...}}    -> {"ok": true, "results": [...],
-                                               "logits:0": {...}, ...}
+               ...]} + images:0, ...       -> {"ok": true, "results": [...]}
+                                              + logits:0, ...
 
-``hello`` negotiates the framing: a client that offers ``"binary"`` to a
-server that allows it flips **both directions** of the connection to the
-zero-copy binary frames of :func:`repro.runtime.codec.encode_frame`
-(arrays as raw buffers, no base64) right after the JSON hello reply.  An
-old server answers ``hello`` as an unknown op, an old client never sends
-it — either peer falls back to JSON lines, so mixed-version fabrics keep
-working.  ``execute_many`` ships one whole dispatch chunk per frame to
-amortize framing and round-trips.
+``hello`` advertises the server's in-flight window (how many pipelined
+chunks a driver may keep on the wire toward it).  A joining worker
+sends the same facts in its ``join`` handshake instead.
+``execute_many`` ships one whole dispatch chunk per frame to amortize
+framing and round-trips.
 
 Task-level failures answer ``{"ok": false, "error": {"type", "message"}}``
 and keep the connection; a known type (``DeploymentError``,
 ``FabricAuthError``) is resurrected client-side as the same typed
-exception.  Transport-level failures (closed socket, blown timeout)
-surface as :class:`~repro.errors.WorkerCrashError` so the group evicts
-the lane and requeues its work.
+exception.  A frame that fails validation — including anything that is
+not RBF1 at all, such as a JSON line — answers one ``CodecError`` frame
+and hangs up: a length-prefixed stream has no point to resynchronize
+on.  Transport-level failures (closed socket, blown timeout) surface as
+:class:`~repro.errors.WorkerCrashError` so the group evicts the lane and
+requeues its work.
 
 Results are bit-identical to a local run: images and logits cross the
-wire through the exact array codec, traces as integer counters.  The
-``deploy`` blob is pickled — **only attach workers you trust, over
-networks you trust**; this is a lab/cluster fabric, not a public API.
-An optional shared secret softens the caveat: a server started with a
-``token`` rejects every payload that does not carry the matching auth
-proof (:func:`~repro.runtime.codec.attach_token`) *before* unpickling
+wire as raw buffers, traces as integer counters.  The ``deploy`` blob
+is pickled — **only attach workers you trust, over networks you
+trust**; this is a lab/cluster fabric, not a public API.  An optional
+shared secret softens the caveat: a server started with a ``token``
+rejects every payload that does not carry the matching auth proof
+(:func:`~repro.runtime.codec.attach_token`) *before* unpickling
 anything, and the join handshake is verified in both directions.
 """
 
 from __future__ import annotations
 
-import json
 import os
+import pickle
 import random
 import socket
 import threading
@@ -78,12 +80,7 @@ from repro.errors import (
 from repro.runtime.codec import (
     attach_token,
     check_token,
-    decode_array,
-    decode_blob,
-    encode_array,
-    encode_blob,
     encode_frame,
-    encode_line,
     read_frame,
 )
 from repro.runtime.work import (Deployment, WorkItem, WorkResult,
@@ -107,10 +104,18 @@ def _error_reply(error: Exception) -> dict:
                       "message": str(error)}}
 
 
+def _remote_error(reply: dict) -> Exception:
+    """The typed exception an ``{"ok": false}`` reply carries."""
+    error = reply.get("error") or {}
+    cls = _REMOTE_ERROR_TYPES.get(error.get("type"), RemoteExecutionError)
+    return cls(f"{error.get('type', 'Error')}: "
+               f"{error.get('message', 'remote worker failure')}")
+
+
 def _configure_socket(sock: socket.socket) -> None:
     """Keepalive so a host that vanished without a FIN/RST (power loss,
     partition) surfaces as an OSError in about a minute instead of
-    blocking an untimed readline forever."""
+    blocking an untimed frame read forever."""
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
     for option, value in (("TCP_KEEPIDLE", 30),
                           ("TCP_KEEPINTVL", 10),
@@ -123,28 +128,11 @@ def _configure_socket(sock: socket.socket) -> None:
 # ----------------------------------------------------------------------
 # Worker-side protocol core — shared by --listen and --join
 # ----------------------------------------------------------------------
-def _as_array(value) -> np.ndarray:
-    """An array field as it arrives: raw ndarray (binary frames) or the
-    base64 envelope of the JSON framing."""
-    if isinstance(value, np.ndarray):
-        return value
-    return decode_array(value)
-
-
-def _inline_arrays(payload: dict, arrays: dict) -> dict:
-    """Fold arrays into a JSON-lines payload as base64 envelopes."""
-    if not arrays:
-        return payload
-    merged = dict(payload)
-    for key, array in arrays.items():
-        merged[key] = encode_array(array)
-    return merged
-
-
 def _execute_one(deployments: list[Deployment], item_id, deployment,
-                 images, trace: dict | None = None) -> WorkResult:
+                 images: np.ndarray, trace: dict | None = None
+                 ) -> WorkResult:
     item = WorkItem(item_id=int(item_id), deployment=int(deployment),
-                    images=_as_array(images), trace=trace)
+                    images=images, trace=trace)
     if not 0 <= item.deployment < len(deployments):
         raise DeploymentError(
             f"deployment {item.deployment} is not registered "
@@ -154,43 +142,35 @@ def _execute_one(deployments: list[Deployment], item_id, deployment,
 
 
 def _handle_request(deployments: list[Deployment], message: dict,
+                    arrays: dict[str, np.ndarray],
                     token: str | None = None,
-                    state: dict | None = None,
-                    frames: str = "binary",
                     window: int = 8) -> tuple[dict, dict]:
-    """One decoded request -> ``(reply payload, reply arrays)``.
+    """One decoded request frame -> ``(reply payload, reply arrays)``.
 
-    ``state`` is the connection's mutable framing state (a ``hello``
-    that lands on binary flips it); ``frames="json"`` pins the
-    connection to JSON lines however eagerly the client offers.
     ``window`` is the in-flight chunk cap the hello reply advertises —
     how many pipelined chunks a driver may keep on the wire toward this
     host (``repro worker --window``; 1 forces stop-and-wait).
     """
     if not check_token(message, token):
-        # Reject *before* touching any pickled blob the payload carries.
+        # Reject *before* touching the pickle a deploy carries.
         raise FabricAuthError(
             "payload rejected: missing or invalid fabric token")
     op = message.get("op")
     if op == "hello":
-        offered = message.get("frames") or []
-        chosen = ("binary" if frames == "binary"
-                  and isinstance(offered, list) and "binary" in offered
-                  else "json")
-        if chosen == "binary" and state is not None:
-            state["binary"] = True
-        return {"ok": True, "frames": chosen, "pid": os.getpid(),
+        return {"ok": True, "pid": os.getpid(),
                 "window": max(1, int(window))}, {}
     if op == "ping":
         return {"ok": True, "pid": os.getpid(),
                 "deployments": len(deployments)}, {}
     if op == "deploy":
-        table = decode_blob(message["blob"])
-        deployments[:] = list(table)
+        blob = arrays.get("blob")
+        if blob is None or blob.dtype != np.uint8 or blob.ndim != 1:
+            raise ValueError("deploy needs a 1-D uint8 'blob' array")
+        deployments[:] = list(pickle.loads(blob))
         return {"ok": True, "deployments": len(deployments)}, {}
     if op == "execute":
         result = _execute_one(deployments, message["item_id"],
-                              message["deployment"], message["images"],
+                              message["deployment"], arrays["images"],
                               trace=message.get("trace"))
         return {
             "ok": True,
@@ -205,12 +185,12 @@ def _handle_request(deployments: list[Deployment], message: dict,
         if not isinstance(specs, list):
             raise ValueError("execute_many needs an 'items' list")
         results: list[dict] = []
-        arrays: dict[str, np.ndarray] = {}
+        out_arrays: dict[str, np.ndarray] = {}
         for position, spec in enumerate(specs):
             try:
                 result = _execute_one(deployments, spec["item_id"],
                                       spec["deployment"],
-                                      message[f"images:{position}"],
+                                      arrays[f"images:{position}"],
                                       trace=spec.get("trace"))
             except Exception as error:  # noqa: BLE001 — per-item
                 # failure inside a healthy chunk: the sibling items'
@@ -225,74 +205,47 @@ def _handle_request(deployments: list[Deployment], message: dict,
                 "pid": result.pid,
                 "spans": result.spans,
             })
-            arrays[f"logits:{position}"] = result.logits
-        return {"ok": True, "results": results}, arrays
+            out_arrays[f"logits:{position}"] = result.logits
+        return {"ok": True, "results": results}, out_arrays
     raise ValueError(f"unknown op {op!r}")
 
 
 def _serve_requests(conn: socket.socket, reader,
                     token: str | None = None,
-                    frames: str = "binary",
-                    binary: bool = False,
                     chaos=None, lane: str = "conn",
                     window: int = 8) -> None:
-    """Answer requests on one connection until the peer goes away.
+    """Answer request frames on one connection until the peer goes away.
 
-    Every request must answer: an unpicklable blob, a version-skewed or
-    garbage frame, or a bad token is a *task* failure on a healthy host
-    — killing the connection would make the driver misread it as a lane
-    crash and requeue the item elsewhere.  The one exception is a
-    corrupt **binary** frame: with length-prefixed framing there is no
-    newline to resynchronize on, so the server answers once and hangs
-    up.  ``frames="json"`` refuses binary negotiation outright;
-    ``binary=True`` starts the connection already in binary mode (the
-    join handshake negotiates before handing the socket over).
-    ``chaos`` is an optional
-    :class:`~repro.runtime.chaos.ChaosPolicy` consulted after each
-    answered request — a ``server_conn`` hangup fault closes the
-    connection so the driver sees a vanished host.
+    Every well-framed request must answer: an unpicklable blob, a
+    version-skewed or unknown op, or a bad token is a *task* failure on
+    a healthy host — killing the connection would make the driver
+    misread it as a lane crash and requeue the item elsewhere.  The one
+    exception is a frame that fails validation (or is not RBF1 at all):
+    a length-prefixed stream has no point to resynchronize on, so the
+    server answers one ``CodecError`` frame and hangs up.  ``chaos`` is
+    an optional :class:`~repro.runtime.chaos.ChaosPolicy` consulted
+    after each answered request — a ``server_conn`` hangup fault closes
+    the connection so the driver sees a vanished host.
     """
     deployments: list[Deployment] = []
-    state = {"binary": binary}
     while True:
-        if state["binary"]:
+        try:
+            decoded = read_frame(reader)
+        except CodecError as error:
             try:
-                decoded = read_frame(reader)
-            except CodecError as error:
-                try:
-                    conn.sendall(encode_frame(_error_reply(error)))
-                except OSError:
-                    pass
-                return
-            if decoded is None:
-                return
-            message, in_arrays = decoded
-            message = dict(message)
-            message.update(in_arrays)
-        else:
-            line = reader.readline()
-            if not line:
-                return
-            try:
-                message = json.loads(line)
-                if not isinstance(message, dict):
-                    raise ValueError("request must be a JSON object")
-            except ValueError as error:
-                conn.sendall(encode_line(_error_reply(error)))
-                continue
-        was_binary = state["binary"]
+                conn.sendall(encode_frame(_error_reply(error)))
+            except OSError:
+                pass
+            return
+        if decoded is None:
+            return
+        message, arrays = decoded
         try:
             reply, out_arrays = _handle_request(
-                deployments, message, token, state=state, frames=frames,
-                window=window)
+                deployments, message, arrays, token, window=window)
         except Exception as error:  # noqa: BLE001 — see docstring
             reply, out_arrays = _error_reply(error), {}
-        # A hello that negotiated binary still answers on the framing it
-        # arrived on; everything after flows as binary frames.
-        if was_binary:
-            conn.sendall(encode_frame(reply, out_arrays))
-        else:
-            conn.sendall(encode_line(_inline_arrays(reply, out_arrays)))
+        conn.sendall(encode_frame(reply, out_arrays))
         if chaos is not None and chaos.server_hangup(lane):
             return  # injected hangup: the reply landed, then we vanish
 
@@ -309,27 +262,18 @@ class WorkerServer:
     deploy right after connecting); one handler thread per connection
     keeps the protocol strictly request/response ordered.  With a
     ``token``, payloads without the matching auth proof are rejected
-    before any blob is unpickled.  ``frames`` selects the best framing
-    this server will negotiate: ``"binary"`` (default) accepts the
-    zero-copy binary frames, ``"json"`` pins every connection to the v1
-    JSON-lines protocol (interop testing, ``repro worker --frames
-    json``).
+    before any blob is unpickled.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  token: str | None = None,
-                 frames: str = "binary",
                  chaos=None,
                  window: int = 8) -> None:
-        if frames not in ("binary", "json"):
-            raise ValueError(f"frames must be 'binary' or 'json', "
-                             f"got {frames!r}")
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.host = host
         self.port = port
         self.token = token
-        self.frames = frames
         #: In-flight chunk cap advertised in the hello reply: how many
         #: pipelined chunks a driver may keep on the wire toward this
         #: host (``repro worker --window``; 1 forces stop-and-wait).
@@ -389,7 +333,7 @@ class WorkerServer:
         try:
             with conn, conn.makefile("rb") as reader:
                 _serve_requests(conn, reader, token=self.token,
-                                frames=self.frames, chaos=self.chaos,
+                                chaos=self.chaos,
                                 lane=f"{self.host}:{self.port}",
                                 window=self.window)
         except (ConnectionError, OSError):
@@ -468,7 +412,6 @@ def join_fabric(
     retry_s: float | None = None,
     stop_event: threading.Event | None = None,
     connect_timeout_s: float = 5.0,
-    frames: str = "binary",
     max_retry_s: float = 30.0,
     window: int = 8,
 ) -> JoinStats:
@@ -486,14 +429,10 @@ def join_fabric(
     the backoff, so a briefly-restarting driver is re-joined at the base
     delay while a gone-for-good one is probed ever more lazily.  A
     failed handshake raises :class:`~repro.errors.FabricAuthError`
-    immediately (a wrong token never heals by retrying).
-    ``frames="json"`` withholds the binary offer, pinning the connection
-    to JSON lines.  Returns a :class:`JoinStats` with dial/serve/
-    disconnect counts once the loop exits.
+    immediately (a wrong token never heals by retrying).  Returns a
+    :class:`JoinStats` with dial/serve/disconnect counts once the loop
+    exits.
     """
-    if frames not in ("binary", "json"):
-        raise ValueError(f"frames must be 'binary' or 'json', "
-                         f"got {frames!r}")
     worker_name = name or f"{socket.gethostname()}:{os.getpid()}"
     stats = JoinStats()
     streak = 0               # consecutive failures since the last serve
@@ -520,14 +459,12 @@ def join_fabric(
         try:
             _configure_socket(sock)
             sock.settimeout(connect_timeout_s)
-            sock.sendall(encode_line(attach_token(
+            sock.sendall(encode_frame(attach_token(
                 {"op": "join", "name": worker_name,
-                 "frames": ["binary"] if frames == "binary" else [],
                  "window": max(1, int(window))},
                 token)))
             reader = sock.makefile("rb")
-            line = reader.readline()
-            reply = json.loads(line) if line else {}
+            reply = (read_frame(reader) or ({}, {}))[0]
             if not reply.get("ok") or not check_token(reply, token):
                 error = (reply.get("error") or {}).get(
                     "message", "group refused the join handshake")
@@ -535,11 +472,7 @@ def join_fabric(
             sock.settimeout(None)
             stats.connects += 1
             streak = 0       # a real session: back to the base delay
-            # The handshake doubles as the framing negotiation: an old
-            # group's reply has no "frames" field -> JSON lines.
-            _serve_requests(sock, reader,
-                            binary=reply.get("frames") == "binary",
-                            window=window)
+            _serve_requests(sock, reader, window=window)
             # Clean EOF: the group hung up (run finished or driver
             # stopped) — counted the same as a mid-serve drop.
             stats.disconnects += 1
@@ -578,13 +511,11 @@ class GroupListener:
 
     def __init__(self, group, host: str = "127.0.0.1", port: int = 0,
                  token: str | None = None,
-                 handshake_timeout_s: float = 5.0,
-                 frames: str = "binary") -> None:
+                 handshake_timeout_s: float = 5.0) -> None:
         self.group = group
         self.host = host
         self.port = port
         self.token = token
-        self.frames = frames
         self.handshake_timeout_s = handshake_timeout_s
         self.joined: list[str] = []          # lane names, admission order
         self._sock: socket.socket | None = None
@@ -634,27 +565,30 @@ class GroupListener:
         """Handshake one joiner and hand its socket to the group."""
         conn.settimeout(self.handshake_timeout_s)
         reader = conn.makefile("rb")
-        hello = json.loads(reader.readline() or b"null")
-        if (not isinstance(hello, dict) or hello.get("op") != "join"
-                or not check_token(hello, self.token)):
-            conn.sendall(encode_line(_error_reply(FabricAuthError(
-                "join rejected: missing or invalid fabric token"))))
-            reader.close()
-            conn.close()
+        try:
+            hello = (read_frame(reader) or ({}, {}))[0]
+            refusal = (None if hello.get("op") == "join"
+                       and check_token(hello, self.token)
+                       else FabricAuthError(
+                           "join rejected: missing or invalid fabric "
+                           "token"))
+        except CodecError as error:
+            refusal = error   # not RBF1 (or a hostile frame)
+        if refusal is not None:
+            try:
+                conn.sendall(encode_frame(_error_reply(refusal)))
+            finally:
+                reader.close()
+                conn.close()
             return
         name = str(hello.get("name") or f"joined@{peer[0]}:{peer[1]}")
-        offered = hello.get("frames") or []
-        chosen = ("binary" if self.frames == "binary"
-                  and isinstance(offered, list) and "binary" in offered
-                  else "json")
-        conn.sendall(encode_line(attach_token(
-            {"ok": True, "name": name, "frames": chosen}, self.token)))
+        conn.sendall(encode_frame(attach_token(
+            {"ok": True, "name": name}, self.token)))
         conn.settimeout(None)
         _configure_socket(conn)
-        worker = RemoteWorker.from_socket(conn, reader, name=name,
-                                          binary=chosen == "binary")
-        # The joiner's hello caps the in-flight window toward it; an
-        # old joiner advertises nothing and keeps the client-side cap.
+        worker = RemoteWorker.from_socket(conn, reader, name=name)
+        # The joiner's hello caps the in-flight window toward it; a
+        # joiner that advertises nothing keeps the client-side cap.
         advertised = hello.get("window")
         if advertised is not None:
             try:
@@ -719,43 +653,33 @@ class RemoteWorker(Worker):
 
     def __init__(self, host: str, port: int, name: str | None = None,
                  connect_timeout_s: float = 5.0,
-                 token: str | None = None,
-                 frames: str = "binary") -> None:
-        if frames not in ("binary", "json"):
-            raise ValueError(f"frames must be 'binary' or 'json', "
-                             f"got {frames!r}")
+                 token: str | None = None) -> None:
         super().__init__(name or f"remote@{host}:{port}")
         self.host = host
         self.port = port
         self.connect_timeout_s = connect_timeout_s
         self.token = token
-        #: Best framing to negotiate ("binary") or "json" to skip the
-        #: hello and speak the v1 protocol (old servers, interop tests).
-        self.frames = frames
-        #: Whether THIS connection negotiated binary frames.
-        self.binary = False
         self.pipeline_depth = _MAX_REMOTE_WINDOW
         self._sock: socket.socket | None = None
         self._reader = None
         self._outstanding: deque[_RemoteFlight] = deque()
         # Serializes the request/response exchange: the group's monitor
         # may ping while the dispatcher thread owns the socket.  The
-        # condition lets a whole-exchange request (deploy, negotiate)
-        # wait for the in-flight window to drain — injecting one
-        # between a pipelined send and its collect would desequence the
+        # condition lets a whole-exchange request (deploy, hello) wait
+        # for the in-flight window to drain — injecting one between a
+        # pipelined send and its collect would desequence the
         # strictly-ordered replies.
         self._io_lock = threading.Lock()
         self._io_cond = threading.Condition(self._io_lock)
 
     @classmethod
-    def from_socket(cls, sock: socket.socket, reader, name: str,
-                    binary: bool = False) -> "RemoteWorker":
+    def from_socket(cls, sock: socket.socket, reader,
+                    name: str) -> "RemoteWorker":
         """Wrap an already-connected socket (a joined host) as a lane.
 
         The peer initiated this connection, so the lane cannot re-dial
         it after a drop — ``restartable`` is False and probation is
-        skipped; a recovered host simply joins again.  ``binary``
-        records the framing the join handshake negotiated.
+        skipped; a recovered host simply joins again.
         """
         try:
             host, port = sock.getpeername()[:2]
@@ -764,7 +688,6 @@ class RemoteWorker(Worker):
         worker = cls(host, int(port), name=name)
         worker._sock = sock
         worker._reader = reader
-        worker.binary = binary
         worker.restartable = False
         return worker
 
@@ -778,50 +701,43 @@ class RemoteWorker(Worker):
         try:
             self._sock = socket.create_connection(
                 (self.host, self.port), timeout=self.connect_timeout_s)
-            # An execute without a per-item timeout blocks in readline;
-            # keepalive bounds how long a silently vanished host can
-            # stall it (see _configure_socket).
+            # An execute without a per-item timeout blocks in its frame
+            # read; keepalive bounds how long a silently vanished host
+            # can stall it (see _configure_socket).
             _configure_socket(self._sock)
             self._reader = self._sock.makefile("rb")
         except OSError as error:
             raise WorkerCrashError(
                 f"cannot reach worker {self.host}:{self.port}: "
                 f"{error}") from error
-        # A fresh connection re-negotiates the window from the cap (the
+        # A fresh connection restarts the window from the cap (the
         # previous server's advertisement died with the old socket).
         self.pipeline_depth = _MAX_REMOTE_WINDOW
-        if self.frames == "binary":
-            self._negotiate()
+        self._hello()
 
-    def _negotiate(self) -> None:
-        """Offer binary frames; any refusal falls back to JSON lines.
+    def _hello(self) -> None:
+        """Adopt the in-flight window the server's hello advertises.
 
-        An old server answers ``hello`` as an unknown op
-        (``RemoteExecutionError``) and a token mismatch answers
-        ``FabricAuthError`` — both leave the lane on the v1 framing (the
-        auth failure resurfaces on ``deploy``, where the group already
-        knows how to degrade it).  Only a dead connection propagates.
+        A token mismatch answers ``FabricAuthError`` here; the lane
+        stays connected and the failure resurfaces on ``deploy``, where
+        the group already knows how to degrade it.  Only a dead
+        connection propagates.
         """
         with self._io_lock:
             try:
-                reply = self._request_locked(
-                    {"op": "hello", "frames": ["binary"]},
-                    timeout_s=self.connect_timeout_s)
-            except (RemoteExecutionError, FabricAuthError):
-                self.binary = False
+                reply, _ = self._request_locked(
+                    {"op": "hello"}, timeout_s=self.connect_timeout_s)
+            except FabricAuthError:
                 return
-            self.binary = reply.get("frames") == "binary"
-            advertised = reply.get("window")
-            if advertised is not None:
-                # The server caps how many chunks may be in flight
-                # toward it (``repro worker --window``); an old server
-                # advertises nothing and keeps the client cap.
-                self.pipeline_depth = max(1, min(
-                    self.pipeline_depth, int(advertised)))
+            # The server caps how many chunks may be in flight toward it
+            # (``repro worker --window``).
+            self.pipeline_depth = max(1, min(
+                self.pipeline_depth,
+                int(reply.get("window", self.pipeline_depth))))
 
     def _request(self, payload: dict,
                  timeout_s: float | None = None,
-                 arrays: dict | None = None) -> dict:
+                 arrays: dict | None = None) -> tuple[dict, dict]:
         with self._io_cond:
             # Replies are strictly ordered per connection: a full
             # exchange must wait until every pipelined chunk has been
@@ -832,64 +748,70 @@ class RemoteWorker(Worker):
                 self._io_cond.wait(timeout=0.1)
             return self._request_locked(payload, timeout_s, arrays)
 
-    def _request_locked(self, payload: dict,
-                        timeout_s: float | None = None,
-                        arrays: dict | None = None) -> dict:
-        """One exchange; caller must hold ``_io_lock``.
+    def _fail(self, error: Exception) -> WorkerCrashError:
+        """Close the lane; the crash error the caller raises."""
+        self.close()
+        return WorkerCrashError(
+            f"worker {self.name!r} connection failed: {error}")
 
-        ``arrays`` travel as raw buffers on a binary lane or inline
-        base64 envelopes on a JSON lane; either way the reply comes back
-        as one dict whose array fields :func:`_as_array` can read.
-        """
-        if self._sock is None:
-            raise WorkerCrashError(
-                f"worker {self.name!r} is not connected")
+    def _send_locked(self, payload: dict, arrays: dict | None,
+                     timeout_s: float | None) -> None:
+        """Put one request frame on the wire; caller holds ``_io_lock``."""
         if (self.chaos is not None
                 and self.chaos.exchange_fate(self.name) == "sever"):
             # Injected partition: drop the socket mid-protocol so the
-            # group sees the real dead-lane signature and evicts us.
+            # group sees the real dead-lane signature and evicts us —
+            # with a window open, every outstanding chunk dies with it.
             self.close()
             raise WorkerCrashError(
                 f"worker {self.name!r} connection severed (chaos)")
         try:
             self._sock.settimeout(timeout_s)
-            if self.binary:
-                self._sock.sendall(encode_frame(
-                    attach_token(payload, self.token), arrays or {}))
-                decoded = read_frame(self._reader)
-            else:
-                self._sock.sendall(encode_line(_inline_arrays(
-                    attach_token(payload, self.token), arrays or {})))
-                decoded = self._reader.readline()
+            self._sock.sendall(encode_frame(
+                attach_token(payload, self.token), arrays or {}))
         except (OSError, ValueError, CodecError) as error:
-            self.close()
-            raise WorkerCrashError(
-                f"worker {self.name!r} connection failed: "
-                f"{error}") from error
-        if not decoded:
+            raise self._fail(error) from error
+
+    def _read_reply_locked(self, timeout_s: float | None
+                           ) -> tuple[dict, dict]:
+        """The next reply frame; caller holds ``_io_lock``."""
+        try:
+            self._sock.settimeout(timeout_s)
+            decoded = read_frame(self._reader)
+        except (OSError, ValueError, CodecError) as error:
+            raise self._fail(error) from error
+        if decoded is None:
             self.close()
             raise WorkerCrashError(
                 f"worker {self.name!r} closed the connection")
-        if self.binary:
-            reply, reply_arrays = decoded
-            reply = dict(reply)
-            reply.update(reply_arrays)
-        else:
-            reply = json.loads(decoded)
+        return decoded
+
+    def _request_locked(self, payload: dict,
+                        timeout_s: float | None = None,
+                        arrays: dict | None = None) -> tuple[dict, dict]:
+        """One exchange -> ``(reply payload, reply arrays)``; caller must
+        hold ``_io_lock``.  An ``{"ok": false}`` reply raises its typed
+        error."""
+        if self._sock is None:
+            raise WorkerCrashError(
+                f"worker {self.name!r} is not connected")
+        self._send_locked(payload, arrays, timeout_s)
+        reply, reply_arrays = self._read_reply_locked(timeout_s)
         if not reply.get("ok"):
-            error = reply.get("error") or {}
-            cls = _REMOTE_ERROR_TYPES.get(error.get("type"),
-                                          RemoteExecutionError)
-            raise cls(
-                f"{error.get('type', 'Error')}: "
-                f"{error.get('message', 'remote worker failure')}")
-        return reply
+            raise _remote_error(reply)
+        return reply, reply_arrays
 
     def deploy(self, deployments: list[Deployment]) -> None:
+        # The pickle rides the frame body as raw bytes, so a deployment
+        # table of any size (VGG-11's weights) stays under the header
+        # cap.
+        blob = np.frombuffer(pickle.dumps(
+            list(deployments), protocol=pickle.HIGHEST_PROTOCOL),
+            dtype=np.uint8)
         try:
-            self._request({"op": "deploy",
-                           "blob": encode_blob(list(deployments))},
-                          timeout_s=self.connect_timeout_s * 4)
+            self._request({"op": "deploy"},
+                          timeout_s=self.connect_timeout_s * 4,
+                          arrays={"blob": blob})
         except FabricAuthError as error:
             # An unauthenticated lane can never execute anything: treat
             # the handshake failure as lane-level so the group degrades
@@ -912,7 +834,7 @@ class RemoteWorker(Worker):
                 attrs["worker"] = self.name
         return WorkResult(
             item_id=int(reply["item_id"]),
-            logits=_as_array(logits),
+            logits=logits,
             image_traces=[TraceMerge.from_dict(t)
                           for t in reply["traces"]],
             elapsed_s=float(reply["elapsed_s"]),
@@ -936,13 +858,11 @@ class RemoteWorker(Worker):
             from repro.telemetry import Span
             exchange = Span.child_of(item.trace, "exchange")
             payload["trace"] = exchange.context()
-        reply = self._request(payload, timeout_s=item.timeout_s,
-                              arrays={"images": item.images})
-        result = self._result_from(reply, reply["logits"])
+        reply, arrays = self._request(payload, timeout_s=item.timeout_s,
+                                      arrays={"images": item.images})
+        result = self._result_from(reply, arrays["logits"])
         if exchange is not None:
-            exchange.set(worker=self.name, framing=(
-                "binary" if self.binary else "json"),
-                num_images=item.num_images)
+            exchange.set(worker=self.name, num_images=item.num_images)
             result.spans = [exchange.finish().to_dict(), *result.spans]
         return result
 
@@ -951,7 +871,7 @@ class RemoteWorker(Worker):
 
         Returns one :class:`WorkResult` or :class:`Exception` per item
         (aligned); the chunk shares a single wire exchange, so framing
-        and negotiation overhead is paid once.  The exchange deadline
+        overhead is paid once.  The exchange deadline
         is the chunk's tightest surviving item budget
         (:func:`~repro.runtime.work.chunk_timeout_s`).
         """
@@ -1012,27 +932,7 @@ class RemoteWorker(Worker):
                     f"worker {self.name!r} already has "
                     f"{len(self._outstanding)} chunk(s) in flight "
                     f"(pipeline_depth={self.pipeline_depth})")
-            if (self.chaos is not None
-                    and self.chaos.exchange_fate(self.name) == "sever"):
-                # Injected partition: drop the socket mid-protocol so
-                # the group sees the real dead-lane signature — with a
-                # window open, every outstanding chunk dies with it.
-                self.close()
-                raise WorkerCrashError(
-                    f"worker {self.name!r} connection severed (chaos)")
-            try:
-                self._sock.settimeout(timeout_s)
-                if self.binary:
-                    self._sock.sendall(encode_frame(
-                        attach_token(payload, self.token), arrays))
-                else:
-                    self._sock.sendall(encode_line(_inline_arrays(
-                        attach_token(payload, self.token), arrays)))
-            except (OSError, ValueError, CodecError) as error:
-                self.close()
-                raise WorkerCrashError(
-                    f"worker {self.name!r} connection failed: "
-                    f"{error}") from error
+            self._send_locked(payload, arrays, timeout_s)
             self._outstanding.append(_RemoteFlight(
                 list(items), spans, deadline))
 
@@ -1059,42 +959,18 @@ class RemoteWorker(Worker):
                     raise WorkerCrashError(
                         f"worker {self.name!r} exceeded its chunk "
                         "deadline before replying")
-            try:
-                self._sock.settimeout(timeout_s)
-                if self.binary:
-                    decoded = read_frame(self._reader)
-                else:
-                    decoded = self._reader.readline()
-            except (OSError, ValueError, CodecError) as error:
-                self.close()
-                raise WorkerCrashError(
-                    f"worker {self.name!r} connection failed: "
-                    f"{error}") from error
-            if not decoded:
-                self.close()
-                raise WorkerCrashError(
-                    f"worker {self.name!r} closed the connection")
+            reply, arrays = self._read_reply_locked(timeout_s)
             self._outstanding.popleft()
             self._io_cond.notify_all()
-        if self.binary:
-            reply, reply_arrays = decoded
-            reply = dict(reply)
-            reply.update(reply_arrays)
-        else:
-            reply = json.loads(decoded)
         if not reply.get("ok"):
             # A whole-chunk refusal (auth, malformed frame) on a live
             # connection: a task-level failure — the reply was consumed
             # in order, the lane stays healthy.
-            error = reply.get("error") or {}
-            cls = _REMOTE_ERROR_TYPES.get(error.get("type"),
-                                          RemoteExecutionError)
-            raise cls(
-                f"{error.get('type', 'Error')}: "
-                f"{error.get('message', 'remote worker failure')}")
-        return self._decode_chunk(reply, flight)
+            raise _remote_error(reply)
+        return self._decode_chunk(reply, arrays, flight)
 
-    def _decode_chunk(self, reply: dict, flight: _RemoteFlight) -> list:
+    def _decode_chunk(self, reply: dict, arrays: dict,
+                      flight: _RemoteFlight) -> list:
         """An ``execute_many`` reply -> aligned outcomes for a flight."""
         items = flight.items
         entries = reply.get("results")
@@ -1105,26 +981,17 @@ class RemoteWorker(Worker):
                 f"results for a {len(items)}-item chunk")
         outcomes: list = []
         for position, entry in enumerate(entries):
-            if entry.get("ok"):
-                outcomes.append(self._result_from(
-                    entry, reply[f"logits:{position}"]))
-            else:
-                error = entry.get("error") or {}
-                cls = _REMOTE_ERROR_TYPES.get(error.get("type"),
-                                              RemoteExecutionError)
-                outcomes.append(cls(
-                    f"{error.get('type', 'Error')}: "
-                    f"{error.get('message', 'remote worker failure')}"))
+            outcomes.append(
+                self._result_from(entry, arrays[f"logits:{position}"])
+                if entry.get("ok") else _remote_error(entry))
         if flight.spans:
-            framing = "binary" if self.binary else "json"
             shared = len(items) > 1
             for position, item in enumerate(items):
                 span = flight.spans.get(item.item_id)
                 if span is None:
                     continue
                 outcome = outcomes[position]
-                span.set(worker=self.name, framing=framing,
-                         num_images=item.num_images, shared=shared)
+                span.set(worker=self.name, num_images=item.num_images, shared=shared)
                 finished = span.finish(
                     ok=isinstance(outcome, WorkResult)).to_dict()
                 if isinstance(outcome, WorkResult):
@@ -1153,7 +1020,6 @@ class RemoteWorker(Worker):
             self._io_lock.release()
 
     def close(self) -> None:
-        self.binary = False   # a re-dial renegotiates from scratch
         self._outstanding.clear()  # the window died with the connection
         if self._reader is not None:
             try:

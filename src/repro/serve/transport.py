@@ -1,28 +1,19 @@
-"""TCP front-end: JSON-lines control plane, zero-copy binary data plane.
+"""TCP front-end for :class:`~repro.serve.server.InferenceServer`.
 
-Connections start as newline-delimited JSON (the same framing the
-runtime worker fabric uses — ``repro.runtime.codec``).  A client that
-supports it sends ``{"op": "hello", "frames": ["binary"]}`` as its
-first request; a willing server answers ``{"ok": true, "frames":
-"binary"}`` and both sides switch to the length-prefixed binary frame
-type from :mod:`repro.runtime.codec` — images and logits then travel
-as raw ndarray buffers instead of nested JSON lists.  Anything else
-(old clients, old servers, ``frames="json"``) stays on JSON lines:
-the hello is answered on the framing it arrived on, and an error reply
-to the hello just means "speak JSON".
-
-An inference request carries the image (nested lists in JSON mode, a
-raw ``image`` array in binary mode; the target deployment's
-``(C, H, W)`` shape) plus optional serving knobs — including
-``deployment``, the registry name that routes a request on a
+Every message in both directions is one RBF1 frame of
+:mod:`repro.runtime.codec` — the framing the worker fabric speaks too —
+from a connection's first byte: a JSON header plus raw ndarray buffers,
+so images and logits travel as raw buffers (written ``+ name`` below).
+An inference request carries its ``image`` array (the target
+deployment's ``(C, H, W)`` shape) plus optional serving knobs —
+including ``deployment``, the registry name that routes a request on a
 multi-model server, and ``key``, an idempotency key: re-submitting the
 same key (a client retry after a dropped connection, a duplicated
 frame) is answered from the server's result ledger instead of executing
 again.  Control requests carry an ``op`` field::
 
-    {"id": 7, "image": [[[0.1, ...]]],
-     "deployment": "fang:4", "key": "ab-3",
-     "timeout_ms": 50, "priority": 2}        -> inference
+    {"id": 7, "deployment": "fang:4", "key": "ab-3",
+     "timeout_ms": 50, "priority": 2} + image -> inference (+ logits)
     {"op": "metrics"}                        -> aggregate server metrics
     {"op": "metrics",
      "deployment": "fang:4"}                 -> one deployment's metrics
@@ -44,7 +35,11 @@ down::
 so a timed-out or cancelled request propagates to the client as a typed
 exception (:class:`~repro.errors.RequestTimeoutError`,
 :class:`~repro.errors.BackpressureError`, :class:`~repro.errors.
-ServeError`) rather than a hung connection.
+ServeError`) rather than a hung connection.  The one exception is a
+frame that fails validation — including anything that is not RBF1, such
+as a JSON line: the server answers one ``CodecError`` frame (``id``
+null) and hangs up, since a length-prefixed stream has no point to
+resynchronize on.
 
 This transport is deliberately minimal — a measurement and demo surface,
 not a hardened RPC layer; the in-process API is the primary interface.
@@ -53,7 +48,6 @@ not a hardened RPC layer; the in-process API is the primary interface.
 from __future__ import annotations
 
 import asyncio
-import json
 
 import numpy as np
 
@@ -68,12 +62,13 @@ from repro.errors import (
     ServeError,
 )
 from repro.runtime.codec import (
+    FRAME_MAGIC,
     FRAME_PREFIX_LEN,
+    _checked_magic,
     decode_frame,
     encode_frame,
     parse_frame_prefix,
 )
-from repro.runtime.codec import encode_line as _encode
 from repro.runtime.remote import _backoff_delay
 from repro.runtime.work import next_idempotency_key
 from repro.serve.server import InferenceServer
@@ -114,15 +109,17 @@ def _raise_remote_error(error) -> Exception:
 
 
 async def _read_frame_async(reader: asyncio.StreamReader):
-    """One binary frame off an asyncio stream; ``None`` on clean EOF."""
+    """One RBF1 frame off an asyncio stream; ``None`` on clean EOF."""
     try:
-        prefix = await reader.readexactly(FRAME_PREFIX_LEN)
+        magic = await reader.readexactly(len(FRAME_MAGIC))
     except asyncio.IncompleteReadError as error:
         if error.partial:
             raise CodecError("connection closed mid-frame") from None
         return None
-    header_len, body_len = parse_frame_prefix(prefix)
     try:
+        header_len, body_len = parse_frame_prefix(
+            _checked_magic(magic) + await reader.readexactly(
+                FRAME_PREFIX_LEN - len(FRAME_MAGIC)))
         header = await reader.readexactly(header_len)
         body = await reader.readexactly(body_len)
     except asyncio.IncompleteReadError:
@@ -133,27 +130,17 @@ async def _read_frame_async(reader: asyncio.StreamReader):
 async def _handle_connection(server: InferenceServer,
                              reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter,
-                             frames: str = "binary",
                              chaos=None) -> None:
     write_lock = asyncio.Lock()
     pending: set[asyncio.Task] = set()
-    binary = False  # every connection starts on JSON lines
     peer = str(writer.get_extra_info("peername"))
 
     async def respond(payload: dict, arrays: dict | None = None) -> None:
         async with write_lock:
-            if binary:
-                writer.write(encode_frame(payload, arrays or {}))
-            else:
-                if arrays:
-                    payload = dict(payload)
-                    for name, array in arrays.items():
-                        payload[name] = np.asarray(array).tolist()
-                writer.write(_encode(payload))
+            writer.write(encode_frame(payload, arrays or {}))
             await writer.drain()
 
-    async def serve_one(message: dict,
-                        in_arrays: dict | None = None) -> None:
+    async def serve_one(message: dict, in_arrays: dict) -> None:
         request_id = message.get("id")
         try:
             if message.get("op") == "ping":
@@ -188,13 +175,10 @@ async def _handle_connection(server: InferenceServer,
                     drain=bool(message.get("drain", True)))
                 await respond({"id": request_id, "rollout": outcome})
                 return
-            if in_arrays and "image" in in_arrays:
-                image = in_arrays["image"]
-            elif "image" in message:
-                image = np.asarray(message["image"], dtype=np.float64)
-            else:
+            image = in_arrays.get("image")
+            if image is None:
                 raise ServeError(
-                    "request needs an 'image' field or a known 'op'")
+                    "request needs an 'image' array or a known 'op'")
             timeout_ms = message.get("timeout_ms")
             key = message.get("key")
             result = await server.submit(
@@ -210,59 +194,26 @@ async def _handle_connection(server: InferenceServer,
             payload.pop("logits", None)
             await respond(payload, {"logits": np.asarray(result.logits)})
         except (ReproError, ValueError, TypeError) as error:
-            # TypeError covers unconvertible 'image' payloads (null,
-            # objects): every failure must answer, or a pipelining
-            # client waits on this id forever.  The structured payload
-            # carries the exception type, so timeouts and backpressure
-            # resurface client-side as the same typed errors.
+            # Every failure must answer, or a pipelining client waits on
+            # this id forever.  The structured payload carries the
+            # exception type, so timeouts and backpressure resurface
+            # client-side as the same typed errors.
             await respond({"id": request_id,
                            "error": _error_payload(error)})
 
     try:
         while True:
-            in_arrays: dict | None = None
-            if binary:
-                # No newline to resync on: a malformed frame answers
-                # once and hangs up.
-                try:
-                    frame = await _read_frame_async(reader)
-                except CodecError as error:
-                    await respond({"id": None,
-                                   "error": {"type": "CodecError",
-                                             "message": str(error)}})
-                    break
-                if frame is None:
-                    break
-                message, in_arrays = frame
-            else:
-                line = await reader.readline()
-                if not line:
-                    break
-                try:
-                    message = json.loads(line)
-                except json.JSONDecodeError as error:
-                    await respond(
-                        {"id": None,
-                         "error": {"type": "ServeError",
-                                   "message": f"bad JSON: {error}"}})
-                    continue
-            if not isinstance(message, dict):
+            # No resync point in a length-prefixed stream: a malformed
+            # (or non-RBF1) frame answers once and hangs up.
+            try:
+                frame = await _read_frame_async(reader)
+            except CodecError as error:
                 await respond({"id": None,
-                               "error": {"type": "ServeError",
-                                         "message": "request must be a "
-                                                    "JSON object"}})
-                continue
-            if message.get("op") == "hello":
-                # Negotiation is handled inline (not as a task): the
-                # very next bytes on the wire depend on the answer.
-                offered = message.get("frames") or []
-                chosen = ("binary" if frames == "binary"
-                          and "binary" in offered else "json")
-                await respond({"id": message.get("id"), "ok": True,
-                               "frames": chosen})
-                binary = chosen == "binary"
-                continue
-            task = asyncio.create_task(serve_one(message, in_arrays))
+                               "error": _error_payload(error)})
+                break
+            if frame is None:
+                break
+            task = asyncio.create_task(serve_one(*frame))
             pending.add(task)
             task.add_done_callback(pending.discard)
             if chaos is not None and chaos.server_hangup(peer):
@@ -284,43 +235,31 @@ async def start_tcp_server(
     server: InferenceServer,
     host: str = "127.0.0.1",
     port: int = 0,
-    frames: str = "binary",
     chaos=None,
 ) -> tuple[asyncio.AbstractServer, int]:
     """Expose a running :class:`InferenceServer` over TCP.
 
     ``port=0`` binds an ephemeral port; the bound port is returned so
-    callers (and tests) can hand it to clients.  ``frames="binary"``
-    (the default) lets clients negotiate the zero-copy frame type;
-    ``frames="json"`` pins every connection to JSON lines.  ``chaos``
+    callers (and tests) can hand it to clients.  ``chaos``
     (a :class:`~repro.runtime.ChaosPolicy`) makes the transport hang
     connections up per its ``server_hangup`` schedule — the fault drill
     for client reconnects.
     """
-    if frames not in ("binary", "json"):
-        raise ServeError(
-            f"frames must be 'binary' or 'json', got {frames!r}")
     if not server.running:
         raise ServeError("start the InferenceServer before the transport")
     tcp = await asyncio.start_server(
-        lambda r, w: _handle_connection(server, r, w, frames=frames,
-                                        chaos=chaos),
+        lambda r, w: _handle_connection(server, r, w, chaos=chaos),
         host, port)
     bound_port = tcp.sockets[0].getsockname()[1]
     return tcp, bound_port
 
 
 class TcpClient:
-    """Pipelining JSON-lines client for :func:`start_tcp_server`.
+    """Pipelining RBF1 client for :func:`start_tcp_server`.
 
     ``infer`` may be called concurrently from many tasks: requests are
     matched to responses by id, so in-flight requests overlap — which is
     exactly what lets a single client drive the server's coalescing.
-
-    ``frames="binary"`` (the default) negotiates the zero-copy frame
-    type during :meth:`connect`; a server that declines (or predates
-    the negotiation) keeps the connection on JSON lines.  ``binary``
-    reports what was agreed.
 
     ``retries`` (default 0: historical fail-fast behavior) turns on
     reconnect-and-resubmit: a request that dies with the connection is
@@ -333,18 +272,13 @@ class TcpClient:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 frames: str = "binary", retries: int = 0,
+                 retries: int = 0,
                  retry_base_s: float = 0.05, retry_cap_s: float = 2.0,
                  chaos=None) -> None:
-        if frames not in ("binary", "json"):
-            raise ServeError(
-                f"frames must be 'binary' or 'json', got {frames!r}")
         if retries < 0:
             raise ServeError(f"retries must be >= 0, got {retries}")
         self.host = host
         self.port = port
-        self.frames = frames
-        self.binary = False
         self.retries = int(retries)
         self.retry_base_s = retry_base_s
         self.retry_cap_s = retry_cap_s
@@ -364,25 +298,6 @@ class TcpClient:
     async def connect(self) -> "TcpClient":
         self._reader, self._writer = await asyncio.open_connection(
             self.host, self.port)
-        if self.frames == "binary":
-            # Negotiate before the read loop exists: the framing of
-            # every subsequent byte depends on this one reply.
-            hello_id = self._next_id
-            self._next_id += 1
-            try:
-                self._writer.write(_encode({"op": "hello", "id": hello_id,
-                                            "frames": ["binary"]}))
-                await self._writer.drain()
-                line = await self._reader.readline()
-                reply = json.loads(line) if line else None
-            except (json.JSONDecodeError, ConnectionError, OSError):
-                reply = None
-            # Anything but an explicit "binary" answer — an error reply
-            # (old server), garbage, or a dropped connection — keeps
-            # the wire on JSON; a dead socket then fails the first
-            # request, same as before negotiation existed.
-            self.binary = (isinstance(reply, dict)
-                           and reply.get("frames") == "binary")
         self._reader_task = asyncio.create_task(self._read_loop())
         return self
 
@@ -395,18 +310,12 @@ class TcpClient:
     async def _read_loop(self) -> None:
         try:
             while True:
-                if self.binary:
-                    frame = await _read_frame_async(self._reader)
-                    if frame is None:
-                        break
-                    payload, arrays = frame
-                    for name, array in arrays.items():
-                        payload[name] = array.tolist()
-                else:
-                    line = await self._reader.readline()
-                    if not line:
-                        break
-                    payload = json.loads(line)
+                frame = await _read_frame_async(self._reader)
+                if frame is None:
+                    break
+                payload, arrays = frame
+                for name, array in arrays.items():
+                    payload[name] = array.tolist()
                 future = self._pending.pop(payload.get("id"), None)
                 if future is not None and not future.done():
                     if "error" in payload:
@@ -450,14 +359,7 @@ class TcpClient:
         if self._reader_task is None or self._reader_task.done():
             self._pending.pop(request_id, None)
             raise _ConnectionLost("connection closed")
-        if self.binary:
-            data = encode_frame(payload, arrays or {})
-        else:
-            if arrays:
-                payload = dict(payload)
-                for name, array in arrays.items():
-                    payload[name] = np.asarray(array).tolist()
-            data = _encode(payload)
+        data = encode_frame(payload, arrays or {})
         fate = (self.chaos.frame_fate(f"{self.host}:{self.port}")
                 if self.chaos is not None else None)
         if fate == "drop":
@@ -534,7 +436,7 @@ class TcpClient:
         every ``infer`` opens a ``client_infer`` root span and sends its
         context in the request's ``trace`` field, so the server's whole
         span tree hangs under the client's — one connected trace across
-        the wire, on either framing.
+        the wire.
         """
         from repro.telemetry import get_tracer
         payload: dict = {"key": key if key is not None
@@ -556,7 +458,6 @@ class TcpClient:
         except Exception:
             span.finish(ok=False)
             raise
-        span.set(framing="binary" if self.binary else "json")
         span.finish()
         return reply
 

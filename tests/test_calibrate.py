@@ -13,8 +13,8 @@ Pinned here:
 * :func:`install_table` wires the measured COO ratio into the codec,
   the ``coo_ratio=`` keyword overrides it per frame;
 * ``SweepDriver(saturate=True)`` changes scheduling only: merged
-  outcomes are bit-identical to the fixed-shard run, the summary says
-  so, and combining it with ``adaptive`` is rejected.
+  outcomes are bit-identical to the fixed-shard run, and the summary
+  says so.
 """
 
 import numpy as np
@@ -41,7 +41,6 @@ from repro.core.engine.calibrate import (
     _crossover,
     probe_batch,
 )
-from repro.errors import ConfigurationError
 from repro.harness.artifacts import ArtifactStore
 from repro.harness.sweep import SweepDriver, SweepTask
 from repro.models import performance_network
@@ -264,7 +263,3 @@ class TestSaturatingShards:
                          labels=np.zeros(40, dtype=np.int64))
         sizes = driver._saturating_shard_sizes([task])
         assert sizes == [20]  # ceil(40 / (1 lane * 2)) balance cap
-
-    def test_adaptive_and_saturate_are_exclusive(self):
-        with pytest.raises(ConfigurationError):
-            SweepDriver(adaptive=True, saturate=True)

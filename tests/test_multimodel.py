@@ -58,8 +58,9 @@ from repro.runtime import (
     attach_token,
     check_token,
     create_workers,
-    encode_line,
+    encode_frame,
     join_fabric,
+    read_frame,
 )
 from repro.serve import InferenceServer, LoadGenerator, TcpClient, \
     start_tcp_server
@@ -787,33 +788,36 @@ class TestFabricToken:
 class TestCodecEdgeCases:
     def test_garbage_and_skewed_frames_answer_structured_errors(
             self, rng):
-        """A live WorkerServer survives hostile frames, answering each."""
+        """A live WorkerServer answers skewed frames on the same
+        connection and hangs up only on a frame it cannot parse."""
         deployment = deployment_for(alpha_network(rng))
         with WorkerServer() as server:
             sock = socket.create_connection(("127.0.0.1", server.port),
                                             timeout=10)
             try:
                 reader = sock.makefile("rb")
-                # Garbage bytes: structured JSON error, not a hangup.
-                sock.sendall(b"this is not json\n")
-                reply = json.loads(reader.readline())
+                # Version-skewed frame (deploy without its blob array).
+                sock.sendall(encode_frame({"op": "deploy"}))
+                reply, _ = read_frame(reader)
                 assert reply["ok"] is False
                 assert reply["error"]["type"] and reply["error"]["message"]
-                # Version-skewed frame (deploy without its blob field).
-                sock.sendall(encode_line({"op": "deploy"}))
-                reply = json.loads(reader.readline())
-                assert reply["ok"] is False
-                # Non-object JSON.
-                sock.sendall(b"[1, 2, 3]\n")
-                reply = json.loads(reader.readline())
+                # Blob shipped in the header instead of the body.
+                sock.sendall(encode_frame({"op": "deploy", "blob": "b64"}))
+                reply, _ = read_frame(reader)
                 assert reply["ok"] is False
                 # Unknown op.
-                sock.sendall(encode_line({"op": "teleport"}))
-                reply = json.loads(reader.readline())
+                sock.sendall(encode_frame({"op": "teleport"}))
+                reply, _ = read_frame(reader)
                 assert reply["ok"] is False
+                assert "teleport" in reply["error"]["message"]
                 # The connection still serves real work afterwards.
-                sock.sendall(encode_line({"op": "ping"}))
-                assert json.loads(reader.readline())["ok"] is True
+                sock.sendall(encode_frame({"op": "ping"}))
+                assert read_frame(reader)[0]["ok"] is True
+                # Garbage bytes: one structured error, then a hangup.
+                sock.sendall(b"this is not a frame at all")
+                reply, _ = read_frame(reader)
+                assert reply["error"]["type"] == "CodecError"
+                assert read_frame(reader) is None
             finally:
                 sock.close()
         # And a real lane on the same protocol still round-trips.
@@ -833,11 +837,10 @@ class TestCodecEdgeCases:
                                             timeout=10)
             try:
                 reader = sock.makefile("rb")
-                sock.sendall(encode_line(
-                    {"op": "execute", "item_id": 1, "deployment": 0,
-                     "images": {"dtype": "float64", "shape": [0],
-                                "data": ""}}))
-                reply = json.loads(reader.readline())
+                sock.sendall(encode_frame(
+                    {"op": "execute", "item_id": 1, "deployment": 0},
+                    {"images": np.zeros((0,))}))
+                reply, _ = read_frame(reader)
                 assert reply["ok"] is False
                 assert reply["error"]["type"] == "DeploymentError"
                 assert "deploy" in reply["error"]["message"]

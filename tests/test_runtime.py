@@ -17,7 +17,9 @@ The contracts pinned here:
   serial run bit for bit.
 """
 
+import io
 import os
+import pickle
 import signal
 import time
 
@@ -41,11 +43,9 @@ from repro.runtime import (
     WorkerGroup,
     WorkerServer,
     create_workers,
-    decode_array,
-    decode_blob,
-    encode_array,
-    encode_blob,
+    encode_frame,
     normalize_worker_specs,
+    read_frame,
 )
 
 
@@ -77,18 +77,26 @@ def run_group(workers, deployment, items, **group_kwargs):
     return results, metrics
 
 
+def frame_roundtrip(arrays: dict) -> dict:
+    """Arrays through one RBF1 frame, as a remote lane sees them."""
+    _, decoded = read_frame(io.BytesIO(encode_frame({}, arrays)))
+    return decoded
+
+
 class TestCodec:
     def test_array_roundtrip_bit_identical(self, rng):
         for array in (rng.random((3, 1, 8, 8)),
                       rng.integers(-5, 99, size=(4, 5)),
                       np.zeros((2, 0, 3))):
-            restored = decode_array(encode_array(array))
+            restored = frame_roundtrip({"x": array})["x"]
             assert restored.dtype == array.dtype
             np.testing.assert_array_equal(restored, array)
 
     def test_blob_roundtrip_carries_deployments(self, rng):
+        """A deploy pickle rides a frame body as raw uint8 bytes."""
         deployment = tiny_deployment(rng)
-        restored = decode_blob(encode_blob([deployment]))[0]
+        blob = np.frombuffer(pickle.dumps([deployment]), dtype=np.uint8)
+        restored = pickle.loads(frame_roundtrip({"blob": blob})["blob"])[0]
         assert restored.backend == deployment.backend
         images = rng.random((2,) + deployment.network.input_shape)
         a, _ = deployment.engine().run_batch(images)

@@ -1,15 +1,18 @@
-"""Zero-copy dispatch: binary frames, shm lanes, batched submission.
+"""Zero-copy dispatch: RBF1 frames, shm lanes, batched submission.
 
 The contracts pinned here:
 
-* the binary frame codec round-trips arrays bit-for-bit — raw or COO —
-  and rejects every malformed or hostile frame with a typed
-  :class:`~repro.errors.CodecError` *before* allocating a buffer for
-  it (truncations, oversized length prefixes, dtype smuggling,
-  out-of-bounds descriptors);
-* framing is negotiated per connection and purely an optimization:
-  binary lanes, forced-JSON lanes and mixed groups of both merge
-  bit-identically (old peers simply never leave JSON);
+* the RBF1 frame codec round-trips arrays of every wire dtype
+  bit-for-bit — raw or COO — and rejects every malformed or hostile
+  frame with a typed :class:`~repro.errors.CodecError` *before*
+  allocating a buffer for it (truncations, oversized length prefixes,
+  dtype smuggling, out-of-bounds descriptors); hand-listed hostile
+  frames sit beside a hypothesis fuzz of the same contract;
+* RBF1 is the only framing, from a connection's first byte: remote
+  lanes merge bit-identically, a deployment table larger than the
+  header cap deploys through the frame body on both the listen and the
+  join path, and a peer speaking anything else (a v1 JSON line) gets
+  one typed ``CodecError`` frame and a hangup, never a hang;
 * the shared-memory lane of :class:`ProcessWorker` is equally inert:
   ``REPRO_NO_SHM=1`` (the pickle path) produces the same bits;
 * batched submission (``submit_many``/``execute_many``) returns the
@@ -19,21 +22,34 @@ The contracts pinned here:
 
 import io
 import json
+import pickle
+import queue
+import socket
 import struct
+import threading
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import AcceleratorConfig
 from repro.errors import CodecError, DeploymentError
+from repro.models import performance_network
 from repro.runtime import (
+    Deployment,
+    GroupListener,
     ProcessWorker,
     RemoteWorker,
     ThreadWorker,
     WorkItem,
     WorkerGroup,
     WorkerServer,
+    attach_token,
     decode_frame,
     encode_frame,
+    join_fabric,
     parse_frame_prefix,
     read_frame,
     shm_available,
@@ -209,10 +225,143 @@ class TestHostileFrames:
         with pytest.raises(CodecError, match="unknown encoding"):
             read_frame(io.BytesIO(frame))
 
+    def test_deeply_nested_header(self):
+        """Nesting that would overflow the JSON parser's stack."""
+        raw = b"[" * 100_000
+        with pytest.raises(CodecError, match="not valid JSON"):
+            decode_frame(raw, b"")
+
+    def test_shapes_numpy_cannot_build(self):
+        for shape in ([0, 1 << 62], [0, 1 << 31, 1 << 31], [1] * 70):
+            frame = frame_of(
+                {"payload": {}, "arrays": {
+                    "x": {"dtype": "float64", "shape": shape,
+                          "enc": "raw", "offset": 0, "nbytes": 0}}})
+            with pytest.raises(CodecError):
+                read_frame(io.BytesIO(frame))
+
     def test_header_missing_sections(self):
         raw = json.dumps({"just": "stuff"}).encode()
         with pytest.raises(CodecError, match="must carry"):
             decode_frame(raw, b"")
+
+
+#: Every dtype the codec accepts on the wire.
+WIRE_DTYPES = ["bool", "int8", "int16", "int32", "int64", "uint8",
+               "uint16", "uint32", "uint64", "float16", "float32",
+               "float64"]
+
+#: Any JSON value, for header fields a hostile peer controls.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner,
+                                     max_size=4)),
+    max_leaves=12)
+
+
+def maybe(strategy):
+    """A plausible field value, or any JSON value at all."""
+    return strategy | json_values
+
+
+descriptors = st.fixed_dictionaries({}, optional={
+    "dtype": maybe(st.sampled_from(WIRE_DTYPES + ["object", "V8",
+                                                  "complex128"])),
+    "shape": maybe(st.lists(st.integers(-2, 1 << 40), max_size=70)
+                   | st.lists(st.integers(0, 6), max_size=4)),
+    "enc": maybe(st.sampled_from(["raw", "coo", "pickle"])),
+    "count": maybe(st.integers(-1, 300)),
+    "offset": maybe(st.integers(-1, 300)),
+    "nbytes": maybe(st.integers(-1, 300)),
+    "index_offset": maybe(st.integers(-1, 300)),
+    "index_nbytes": maybe(st.integers(-1, 300)),
+})
+
+
+def decodes_or_codec_error(decode, *args) -> None:
+    """``decode(*args)`` returns, or fails with CodecError — never with
+    any other exception."""
+    try:
+        decode(*args)
+    except CodecError:
+        pass
+
+
+def wire_arrays(dtype):
+    """Arrays of ``dtype``: dense draws and mostly-zero ones (so both
+    the raw and the COO encoding are exercised), any shape including
+    zero-size and 0-d."""
+    shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                              max_side=24)
+    elements = hnp.from_dtype(np.dtype(dtype))
+    return (hnp.arrays(dtype, shapes, elements=elements)
+            | hnp.arrays(dtype, shapes, elements=elements,
+                         fill=st.just(np.zeros((), dtype)[()])))
+
+
+class TestFrameFuzz:
+    """RBF1 is the only parser facing the network: whatever arrives,
+    decoding returns or raises CodecError."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64), st.binary(max_size=64))
+    def test_arbitrary_header_and_body_bytes(self, header, body):
+        decodes_or_codec_error(decode_frame, header, body)
+        decodes_or_codec_error(parse_frame_prefix, header[:16])
+        decodes_or_codec_error(read_frame, io.BytesIO(header + body))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.text(max_size=4), descriptors, max_size=3),
+           maybe(st.dictionaries(st.text(max_size=4), json_values,
+                                 max_size=3)),
+           st.binary(max_size=320))
+    def test_hostile_descriptors(self, arrays, payload, body):
+        header = json.dumps({"payload": payload, "arrays": arrays})
+        decodes_or_codec_error(decode_frame, header.encode(), body)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mutated_valid_frames(self, data):
+        dtype = data.draw(st.sampled_from(WIRE_DTYPES))
+        array = data.draw(wire_arrays(dtype))
+        frame = bytearray(encode_frame(
+            {"op": "execute", "item_id": 7}, {"images": array}))
+        for _ in range(data.draw(st.integers(1, 4))):
+            position = data.draw(st.integers(0, len(frame) - 1))
+            action = data.draw(st.sampled_from(["flip", "cut", "insert"]))
+            if action == "flip":
+                frame[position] ^= data.draw(st.integers(1, 255))
+            elif action == "cut":
+                del frame[position:position + data.draw(
+                    st.integers(1, 8))]
+                if not frame:
+                    break
+            else:
+                frame[position:position] = data.draw(
+                    st.binary(min_size=1, max_size=8))
+        decodes_or_codec_error(read_frame, io.BytesIO(bytes(frame)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from([0.0, None, 1e9]))
+    def test_every_wire_dtype_round_trips_bit_identically(
+            self, data, coo_ratio):
+        """``coo_ratio`` 0 forces raw buffers, 1e9 picks COO whenever
+        the array is large enough, ``None`` lets the encoder choose."""
+        arrays = {dtype: data.draw(wire_arrays(dtype))
+                  for dtype in data.draw(st.lists(
+                      st.sampled_from(WIRE_DTYPES), min_size=1,
+                      max_size=4, unique=True))}
+        payload, decoded = read_frame(io.BytesIO(encode_frame(
+            {"op": "fuzz"}, arrays, coo_ratio=coo_ratio)))
+        assert payload == {"op": "fuzz"}
+        assert decoded.keys() == arrays.keys()
+        for name, array in arrays.items():
+            assert decoded[name].dtype == array.dtype
+            assert decoded[name].shape == array.shape
+            # Byte comparison: NaN payloads and -0.0 must survive too.
+            assert decoded[name].tobytes() == array.tobytes()
 
 
 class TestFrameNegotiation:
@@ -224,70 +373,166 @@ class TestFrameNegotiation:
         try:
             worker = RemoteWorker("127.0.0.1", server.port)
             results, _ = run_group([worker], deployment, items)
-            assert worker.binary is False  # reset on close
             for base, other in zip(baseline, results):
                 np.testing.assert_array_equal(base.logits, other.logits)
                 assert base.merged_trace() == other.merged_trace()
         finally:
             server.close()
 
-    def test_client_can_force_json(self, rng):
-        deployment = tiny_deployment(rng)
-        items = make_items(rng, deployment, count=3)
-        baseline, _ = run_group([ThreadWorker()], deployment, items)
-        server = WorkerServer().start()
-        try:
-            worker = RemoteWorker("127.0.0.1", server.port,
-                                  frames="json")
-            worker.start()
-            assert worker.binary is False
-            results, _ = run_group([worker], deployment, items)
-            for base, other in zip(baseline, results):
-                np.testing.assert_array_equal(base.logits, other.logits)
-        finally:
-            server.close()
 
-    def test_json_server_declines_binary(self, rng):
-        deployment = tiny_deployment(rng)
-        items = make_items(rng, deployment, count=2)
-        baseline, _ = run_group([ThreadWorker()], deployment, items)
-        server = WorkerServer(frames="json").start()
-        try:
+def large_deployment() -> Deployment:
+    """A deployment whose pickle outgrows the 1 MiB header cap (one
+    256 x 4608 int8 linear layer), so it can only deploy through the
+    frame body."""
+    net = performance_network(
+        [("conv", 4, 3, 1, 1), ("pool", 2), ("flatten",),
+         ("linear", 4608), ("linear", 10)],
+        input_shape=(1, 16, 16), num_steps=3, seed=5)
+    deployment = Deployment(network=net,
+                            config=AcceleratorConfig.for_network(net))
+    assert len(pickle.dumps([deployment])) > MAX_HEADER_BYTES
+    return deployment
+
+
+def assert_matches_reference(deployment, items, results):
+    """Remote results equal a serial run on the ``reference`` engine."""
+    reference = Deployment(network=deployment.network,
+                           config=deployment.config, backend="reference")
+    baseline, _ = run_group([ThreadWorker()], reference, items)
+    for base, other in zip(baseline, results):
+        np.testing.assert_array_equal(base.logits, other.logits)
+        assert base.merged_trace() == other.merged_trace()
+
+
+class _LaneCollector:
+    """The one method :class:`GroupListener` calls on its group: hands
+    each admitted join lane to the test instead of scheduling onto it."""
+
+    def __init__(self):
+        self.lanes = queue.Queue()
+
+    def add_lane(self, worker):
+        self.lanes.put(worker)
+        return worker.name
+
+
+def assert_refused_with_codec_error(port: int, line: bytes) -> None:
+    """A v1 JSON-lines peer gets one CodecError frame, then EOF."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(line)
+        with sock.makefile("rb") as reader:
+            reply, _ = read_frame(reader)
+            assert reply["ok"] is False
+            assert reply["error"]["type"] == "CodecError"
+            assert "magic" in reply["error"]["message"]
+            assert reader.read() == b""  # the server hung up
+
+
+#: Set by :func:`_loud_unpickle` — proof a blob was (not) unpickled.
+_UNPICKLED: list = []
+
+
+def _loud_unpickle():
+    _UNPICKLED.append(True)
+    raise RuntimeError("deploy blob was unpickled")
+
+
+class _LoudBlob:
+    def __reduce__(self):
+        return _loud_unpickle, ()
+
+
+class TestOneFraming:
+    """RBF1 from the first byte on every fabric connection."""
+
+    def test_deploy_over_header_cap_on_listen_lane(self, rng):
+        """A >1 MiB deployment table rides the frame body, not a base64
+        header field, and executes bit-identically to reference."""
+        deployment = large_deployment()
+        items = make_items(rng, deployment, count=2, images_each=2)
+        with WorkerServer() as server:
             worker = RemoteWorker("127.0.0.1", server.port)
             worker.start()
-            assert worker.binary is False
-            results, _ = run_group([worker], deployment, items)
-            for base, other in zip(baseline, results):
-                np.testing.assert_array_equal(base.logits, other.logits)
-        finally:
-            server.close()
+            try:
+                worker.deploy([deployment])
+                results = [worker.execute(item) for item in items]
+            finally:
+                worker.close()
+        assert_matches_reference(deployment, items, results)
 
-    def test_mixed_binary_and_json_group_bit_exact(self, rng):
-        """One binary lane + one forced-JSON lane in the same group —
-        the CI zero-copy smoke: framing must never show in the merge."""
+    def test_deploy_over_header_cap_on_join_lane(self, rng):
+        deployment = large_deployment()
+        items = make_items(rng, deployment, count=2, images_each=2)
+        collector = _LaneCollector()
+        with GroupListener(collector, "127.0.0.1", 0) as listener:
+            joiner = threading.Thread(
+                target=join_fabric, args=("127.0.0.1", listener.port),
+                kwargs={"name": "big"}, daemon=True)
+            joiner.start()
+            worker = collector.lanes.get(timeout=30)
+            try:
+                worker.deploy([deployment])
+                results = worker.execute_many(items)
+            finally:
+                worker.close()
+        joiner.join(timeout=10)
+        assert not joiner.is_alive()
+        assert_matches_reference(deployment, items, results)
+
+    def test_json_line_client_refused_by_worker_server(self, rng):
         deployment = tiny_deployment(rng)
-        items = make_items(rng, deployment, count=6)
-        baseline, _ = run_group([ThreadWorker()], deployment, items)
-        server = WorkerServer().start()
-        try:
-            binary_worker = RemoteWorker("127.0.0.1", server.port,
-                                         name="lane-binary")
-            json_worker = RemoteWorker("127.0.0.1", server.port,
-                                       name="lane-json", frames="json")
-            results, metrics = run_group([binary_worker, json_worker],
-                                         deployment, items)
-            for base, other in zip(baseline, results):
-                np.testing.assert_array_equal(base.logits, other.logits)
-                assert base.merged_trace() == other.merged_trace()
-            assert sum(metrics.executed.values()) == len(items)
-        finally:
-            server.close()
+        with WorkerServer() as server:
+            assert_refused_with_codec_error(server.port,
+                                            b'{"op": "ping"}\n')
+            # The server keeps serving other connections.
+            worker = RemoteWorker("127.0.0.1", server.port)
+            worker.start()
+            try:
+                worker.deploy([deployment])
+                assert worker.ping()
+            finally:
+                worker.close()
 
-    def test_bad_frames_value_rejected(self):
-        with pytest.raises(ValueError):
-            RemoteWorker("127.0.0.1", 1, frames="msgpack")
-        with pytest.raises(ValueError):
-            WorkerServer(frames="msgpack")
+    def test_json_line_joiner_refused_by_group_listener(self):
+        collector = _LaneCollector()
+        with GroupListener(collector, "127.0.0.1", 0) as listener:
+            assert_refused_with_codec_error(
+                listener.port, b'{"op": "join", "name": "v1"}\n')
+            assert collector.lanes.empty()
+            # A real joiner is still admitted afterwards.
+            joiner = threading.Thread(
+                target=join_fabric, args=("127.0.0.1", listener.port),
+                kwargs={"name": "rbf1"}, daemon=True)
+            joiner.start()
+            worker = collector.lanes.get(timeout=30)
+            assert worker.name == "rbf1"
+            assert worker.ping()
+            worker.close()
+        joiner.join(timeout=10)
+        assert not joiner.is_alive()
+
+    def test_bad_token_deploy_rejected_before_unpickling(self):
+        blob = np.frombuffer(pickle.dumps(_LoudBlob()), dtype=np.uint8)
+        _UNPICKLED.clear()
+        with WorkerServer(token="s3cret") as server, \
+                socket.create_connection(("127.0.0.1", server.port),
+                                         timeout=10) as sock, \
+                sock.makefile("rb") as reader:
+            for token in (None, "wrong"):
+                sock.sendall(encode_frame(
+                    attach_token({"op": "deploy"}, token),
+                    {"blob": blob}))
+                reply, _ = read_frame(reader)
+                assert reply["error"]["type"] == "FabricAuthError"
+            assert _UNPICKLED == []
+            # Control: with the right token the same blob IS unpickled,
+            # and fails loudly — so the refusals above came first.
+            sock.sendall(encode_frame(
+                attach_token({"op": "deploy"}, "s3cret"),
+                {"blob": blob}))
+            reply, _ = read_frame(reader)
+            assert reply["error"]["type"] == "RuntimeError"
+            assert _UNPICKLED == [True]
 
 
 class TestShmLane:

@@ -19,6 +19,7 @@ No pytest-asyncio in the toolchain: tests drive coroutines with
 """
 
 import asyncio
+import io
 import json
 
 import numpy as np
@@ -54,7 +55,18 @@ from repro.serve import (
     create_policy,
     start_tcp_server,
 )
+from repro.runtime import (decode_frame, encode_frame, parse_frame_prefix,
+                           read_frame)
+from repro.runtime.codec import FRAME_PREFIX_LEN
 from repro.snn import SNNModel
+
+
+async def read_reply(reader: asyncio.StreamReader) -> dict:
+    """One reply frame's payload off a raw asyncio connection."""
+    header_len, body_len = parse_frame_prefix(
+        await reader.readexactly(FRAME_PREFIX_LEN))
+    header = await reader.readexactly(header_len)
+    return decode_frame(header, await reader.readexactly(body_len))[0]
 
 
 def tiny_network(rng, num_steps=3):
@@ -735,8 +747,13 @@ class TestTcpTransport:
         assert metrics["completed"] == 5
 
     def test_malformed_requests_get_error_replies(self, rng):
-        """Every bad line answers — a pipelining client must never hang."""
+        """Every bad request answers — a pipelining client must never
+        hang."""
         net = tiny_network(rng)
+        requests = [({"id": 1}, {}),                  # no image, no op
+                    ({"id": 2, "image": [[[0.5]]]}, {}),  # not an array
+                    ({"id": 3}, {"image": np.zeros((2, 2))}),  # shape
+                    ({"id": 4, "op": "traces", "limit": "x"}, {})]
 
         async def main():
             async with InferenceServer(net) as server:
@@ -744,16 +761,11 @@ class TestTcpTransport:
                 try:
                     reader, writer = await asyncio.open_connection(
                         "127.0.0.1", port)
-                    lines = [b"not json at all\n",
-                             b"5\n",  # valid JSON, not an object
-                             b'{"id": 1, "image": null}\n',
-                             b'{"id": 2, "image": {"a": 1}}\n',
-                             b'{"id": 3}\n']
-                    writer.write(b"".join(lines))
+                    writer.write(b"".join(encode_frame(payload, arrays)
+                                          for payload, arrays in requests))
                     await writer.drain()
-                    replies = [json.loads(await asyncio.wait_for(
-                        reader.readline(), timeout=5))
-                        for _ in lines]
+                    replies = [await asyncio.wait_for(
+                        read_reply(reader), timeout=5) for _ in requests]
                     writer.close()
                     await writer.wait_closed()
                     return replies
@@ -763,8 +775,39 @@ class TestTcpTransport:
 
         replies = asyncio.run(main())
         assert all("error" in reply for reply in replies)
-        answered_ids = {reply["id"] for reply in replies}
-        assert {1, 2, 3} <= answered_ids  # errors carry the request id
+        # Errors carry the request id.
+        assert {reply["id"] for reply in replies} == {1, 2, 3, 4}
+
+    def test_json_line_client_gets_codec_error_and_hangup(self, rng):
+        """A v1 JSON-lines client is refused typed, not left hanging,
+        and the server keeps serving other connections."""
+        net = tiny_network(rng)
+        image = tiny_images(rng, net, 1)[0]
+
+        async def main():
+            async with InferenceServer(net) as server:
+                tcp, port = await start_tcp_server(server)
+                try:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", port)
+                    writer.write(b'{"op": "ping"}\n')
+                    await writer.drain()
+                    # read() returns only at EOF: the server hung up.
+                    data = await asyncio.wait_for(reader.read(), timeout=5)
+                    writer.close()
+                    await writer.wait_closed()
+                    async with TcpClient(port=port) as client:
+                        served = await client.infer(image)
+                    return read_frame(io.BytesIO(data))[0], served
+                finally:
+                    tcp.close()
+                    await tcp.wait_closed()
+
+        refusal, served = asyncio.run(main())
+        assert refusal["id"] is None
+        assert refusal["error"]["type"] == "CodecError"
+        assert "magic" in refusal["error"]["message"]
+        assert "prediction" in served
 
     def test_transport_requires_running_server(self, rng):
         net = tiny_network(rng)
@@ -800,59 +843,10 @@ class TestTcpTransport:
 
 
 class TestTcpFrameNegotiation:
-    """Binary frames on the serving transport: negotiated, optional,
-    invisible in the results."""
-
-    def test_binary_negotiated_and_matches_json_client(self, rng):
-        net = tiny_network(rng)
-        images = tiny_images(rng, net, 4)
-        logits, _ = direct_run(net, images)
-
-        async def main():
-            async with InferenceServer(net, max_batch=4) as server:
-                tcp, port = await start_tcp_server(server)
-                try:
-                    async with TcpClient(port=port) as fast, \
-                            TcpClient(port=port, frames="json") as slow:
-                        assert fast.binary is True
-                        assert slow.binary is False
-                        fast_replies = await asyncio.gather(
-                            *(fast.infer(image) for image in images))
-                        slow_replies = await asyncio.gather(
-                            *(slow.infer(image) for image in images))
-                        return fast_replies, slow_replies
-                finally:
-                    tcp.close()
-                    await tcp.wait_closed()
-
-        fast_replies, slow_replies = asyncio.run(main())
-        for fast_reply, slow_reply, expected in zip(
-                fast_replies, slow_replies, logits):
-            assert fast_reply["logits"] == slow_reply["logits"]
-            np.testing.assert_array_equal(fast_reply["logits"], expected)
-            assert fast_reply["prediction"] == int(expected.argmax())
-
-    def test_json_pinned_server_declines_binary(self, rng):
-        net = tiny_network(rng)
-        image = tiny_images(rng, net, 1)[0]
-        logits, _ = direct_run(net, image[np.newaxis])
-
-        async def main():
-            async with InferenceServer(net) as server:
-                tcp, port = await start_tcp_server(server, frames="json")
-                try:
-                    async with TcpClient(port=port) as client:
-                        assert client.binary is False
-                        return await client.infer(image)
-                finally:
-                    tcp.close()
-                    await tcp.wait_closed()
-
-        reply = asyncio.run(main())
-        np.testing.assert_array_equal(reply["logits"], logits[0])
+    """RBF1 frames on the serving transport."""
 
     def test_binary_errors_still_typed(self, rng):
-        """Typed server errors survive the binary framing."""
+        """Typed server errors survive the frame round-trip."""
         net = tiny_network(rng)
 
         async def main():
@@ -860,7 +854,6 @@ class TestTcpFrameNegotiation:
                 tcp, port = await start_tcp_server(server)
                 try:
                     async with TcpClient(port=port) as client:
-                        assert client.binary is True
                         with pytest.raises(ServeError):
                             await client.infer(np.zeros((2, 2)))
                         assert await client.ping()

@@ -147,44 +147,16 @@ class TestAdaptiveSharding:
         with pytest.raises(ConfigurationError):
             shard_tasks([tiny_task(rng)], [0])
 
-    def test_adaptive_merge_bit_identical_to_fixed(self, rng):
-        """Probe-driven shard boundaries never change the merged result."""
-        tasks = [tiny_task(rng, key=f"cell{i}", num_images=17)
-                 for i in range(2)]
-        baseline = SweepDriver(workers=1, shard_size=17).run(tasks)
-        adaptive = SweepDriver(workers=2, shard_size=4,
-                               adaptive=True).run(tasks)
-        for task in tasks:
-            np.testing.assert_array_equal(
-                adaptive[task.key].predictions,
-                baseline[task.key].predictions)
-            assert adaptive[task.key].trace == baseline[task.key].trace
-            assert adaptive[task.key].correct == baseline[task.key].correct
-
-    def test_adaptive_summary_records_choices(self, rng):
-        tasks = [tiny_task(rng, key=f"cell{i}", num_images=12)
-                 for i in range(2)]
-        driver = SweepDriver(workers=2, shard_size=6, adaptive=True)
-        driver.run(tasks)
-        summary = driver.last_summary
-        assert summary.adaptive
-        assert set(summary.task_shard_sizes) == {t.key for t in tasks}
-        for task, size in zip(tasks, summary.task_shard_sizes.values()):
-            assert 1 <= size <= task.num_images
-        assert summary.num_units == sum(
-            -(-t.num_images // summary.task_shard_sizes[t.key])
-            for t in tasks)
-
     def test_fixed_summary_has_no_adaptive_fields(self, rng):
         driver = SweepDriver(workers=1, shard_size=5)
         driver.run([tiny_task(rng, num_images=7)])
-        assert not driver.last_summary.adaptive
+        assert not driver.last_summary.saturate
         assert driver.last_summary.task_shard_sizes is None
         assert driver.last_summary.num_units == 2
 
     def test_probe_images_validated(self):
         with pytest.raises(ConfigurationError):
-            SweepDriver(adaptive=True, probe_images=0)
+            SweepDriver(saturate=True, probe_images=0)
 
 
 class TestHardwareAccuracy:

@@ -458,16 +458,18 @@ class TestSatellites:
         assert policy.summary()["by_site"] == {"dispatch:kill": 1}
 
     def test_codec_byte_counters(self):
-        from repro.runtime.codec import encode_frame, encode_line
-        encode_line({"op": "ping"})
-        encode_frame({"payload": True},
-                     {"x": np.zeros((4, 4), dtype=np.float64)})
+        import io
+
+        from repro.runtime.codec import encode_frame, read_frame
+        frame = encode_frame({"payload": True},
+                             {"x": np.zeros((4, 4), dtype=np.float64)})
+        read_frame(io.BytesIO(frame))
         series = get_registry().to_dict()[
             "repro_codec_bytes_total"]["series"]
-        by_labels = {(s["labels"]["direction"], s["labels"]["encoding"]):
-                     s["value"] for s in series}
-        assert by_labels[("sent", "json")] > 0
-        assert by_labels[("sent", "binary")] >= 128  # the array body
+        by_direction = {s["labels"]["direction"]: s["value"]
+                        for s in series}
+        assert by_direction["sent"] == len(frame) >= 128  # array body
+        assert by_direction["received"] == len(frame)
 
     def test_server_metrics_snapshot_shape_unchanged(self):
         """Feeding the registry must not change the legacy snapshot."""
