@@ -125,9 +125,10 @@ def run_lane_scaling(rng) -> dict:
 def _wire_bytes(images: np.ndarray) -> tuple[int, int]:
     """(raw-buffer frame bytes, encoder-chosen frame bytes) for one
     item."""
-    payload = {"op": "execute", "item_id": 0, "deployment": 0}
-    raw = encode_frame(payload, {"images": images}, coo_ratio=0.0)
-    frame = encode_frame(payload, {"images": images})
+    payload = {"op": "execute_many",
+               "items": [{"item_id": 0, "deployment": 0}]}
+    raw = encode_frame(payload, {"images:0": images}, coo_ratio=0.0)
+    frame = encode_frame(payload, {"images:0": images})
     return len(raw), len(frame)
 
 

@@ -70,9 +70,17 @@ DEFAULT_DENSE_FALLBACK = 0.85     # per-hook gather -> dense crossover
 DEFAULT_POPCOUNT_GATHER = 0.5     # nonzero-gather popcount crossover
 DEFAULT_ROUTE_DENSITY = 0.25      # auto: batches denser go vectorized
 DEFAULT_COO_RATIO = 0.9           # codec: COO wins below this byte ratio
-#: Assumed per-unit fabric dispatch cost when no table measured one —
-#: roughly one warmed process-lane round trip on a laptop-class host.
-DEFAULT_DISPATCH_COST_S = 2e-3
+
+
+def __getattr__(name: str):
+    # DEFAULT_DISPATCH_COST_S is the fabric's figure and lives in
+    # repro.runtime; re-export it lazily, because the runtime imports
+    # this package while it loads.
+    if name == "DEFAULT_DISPATCH_COST_S":
+        from repro.runtime import DEFAULT_DISPATCH_COST_S
+        return DEFAULT_DISPATCH_COST_S
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _PROBE_DENSITIES = (0.02, 0.05, 0.1, 0.25, 0.5, 0.7, 0.9)
 

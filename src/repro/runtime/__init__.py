@@ -37,7 +37,8 @@ from repro.runtime.codec import (
     read_frame,
 )
 from repro.runtime.chaos import ChaosEvent, ChaosPolicy
-from repro.runtime.group import GroupMetrics, WorkerGroup
+from repro.runtime.group import (DEFAULT_DISPATCH_COST_S, GroupMetrics,
+                                 WorkerGroup)
 from repro.runtime.registry import DeploymentRegistry, RegisteredDeployment
 from repro.runtime.remote import (
     GroupListener,
@@ -66,6 +67,7 @@ from repro.runtime.workers import (
 __all__ = [
     "ChaosEvent",
     "ChaosPolicy",
+    "DEFAULT_DISPATCH_COST_S",
     "Deployment",
     "DeploymentRegistry",
     "GroupListener",

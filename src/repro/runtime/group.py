@@ -11,9 +11,9 @@ over it.  Mechanics:
   the group.  Stealing only moves *scheduling*; results are keyed by
   item and merged by integer counters, so any interleaving is
   bit-identical (the fabric's acceptance contract).
-* **Crash containment.**  A lane whose ``execute`` raises
+* **Crash containment.**  A lane whose chunk send or collect raises
   :class:`~repro.errors.WorkerCrashError` (child killed, connection
-  dropped, budget blown) is evicted: its in-flight item and queued
+  dropped, budget blown) is evicted: its in-flight window and queued
   backlog are requeued on healthy lanes and ``metrics.worker_crashes``
   counts the event.  Only when *no* healthy lane remains do the orphaned
   futures fail.  An item that has crashed ``max_attempts`` lanes is
@@ -58,7 +58,7 @@ from repro.runtime.work import (Deployment, ResultLedger, WorkItem,
                                 WorkResult)
 from repro.runtime.workers import Worker, create_workers
 
-__all__ = ["GroupMetrics", "WorkerGroup"]
+__all__ = ["DEFAULT_DISPATCH_COST_S", "GroupMetrics", "WorkerGroup"]
 
 
 def _fabric_executed(kind: str, lane: str, completed: int) -> None:
@@ -74,7 +74,7 @@ def _fabric_executed(kind: str, lane: str, completed: int) -> None:
 
 def _fabric_inflight(lane: str, depth: int) -> None:
     """Per-lane in-flight-depth gauge: how many dispatch chunks the lane
-    currently has on the wire / in its child."""
+    currently has sent but not collected."""
     get_registry().gauge(
         "repro_fabric_inflight_chunks",
         "Dispatch chunks currently in flight, by lane",
@@ -96,12 +96,11 @@ def _fabric_window_occupancy(lane: str, depth: int) -> None:
     ).labels(lane=lane).observe(float(depth))
 
 
-#: Fallback per-chunk dispatch overhead for the credit derivation when
-#: no calibrated figure was supplied — mirrors
-#: ``repro.core.engine.calibrate.DEFAULT_DISPATCH_COST_S`` (importing it
-#: here would cycle: calibrate measures dispatch cost *through* a
-#: process group).
-_DEFAULT_DISPATCH_COST_S = 2e-3
+#: Assumed per-chunk fabric dispatch cost when no calibration table
+#: measured one — roughly one warmed process-lane round trip on a
+#: laptop-class host.  Feeds the window credit and the sweep's shard
+#: sizing.
+DEFAULT_DISPATCH_COST_S = 2e-3
 
 #: Hard ceiling on any lane's in-flight window, credit-derived or not.
 _MAX_WINDOW = 8
@@ -751,105 +750,27 @@ class WorkerGroup:
         if not service:
             return 1
         dispatch = (self.dispatch_cost_s if self.dispatch_cost_s
-                    else _DEFAULT_DISPATCH_COST_S)
+                    else DEFAULT_DISPATCH_COST_S)
         credit = 1 + math.ceil(dispatch / max(service, 1e-9))
         return max(1, min(credit, cap))
 
     def _dispatch(self, index: int) -> None:
-        worker = self.workers[index]
-        if getattr(worker, "pipeline_depth", 1) > 1:
-            self._dispatch_windowed(index, worker)
-        else:
-            self._dispatch_serial(index, worker)
+        """Drive one lane: keep up to W chunks in flight.
 
-    def _dispatch_serial(self, index: int, worker: Worker) -> None:
-        """Stop-and-wait dispatch: one chunk in flight, blocking."""
-        while True:
-            with self._cond:
-                pending = None
-                removed = False
-                while pending is None:
-                    if self._stopping or index in self._dead:
-                        removed = index in self._removed
-                        break
-                    pending = self._next_pending(index)
-                    if pending is None:
-                        self._cond.wait(timeout=0.1)
-                batch = None
-                ledgered: list[tuple[_Pending, WorkResult]] = []
-                if pending is not None:
-                    batch, ledgered = self._build_batch_locked(index,
-                                                               pending)
-                    self._busy[index] = batch if batch else None
-            for stale, recorded in ledgered:
-                if not stale.future.done():
-                    stale.future.set_result(recorded)
-            if batch is None:
-                if removed:
-                    # Graceful drain: the dispatcher owns the close (an
-                    # in-flight item was allowed to finish first).
-                    worker.close()
-                return
-            if not batch:
-                continue
-            with self._cond:
-                for pending in batch:
-                    pending.attempts += 1
-                    if pending.attempts > 1:
-                        self.metrics.retries += 1
-            if (self.chaos is not None and self._others_alive(index)
-                    and self.chaos.dispatch_fate(worker.name) == "kill"):
-                # Hard-kill the executor, then dispatch anyway: the
-                # execute below fails with the lane's *real* crash
-                # signature (broken child pool, dead socket), driving
-                # the genuine evict → requeue → probation path.
-                worker.kill()
-            try:
-                if len(batch) == 1:
-                    outcomes: list = [worker.execute(batch[0].item)]
-                else:
-                    outcomes = worker.execute_many(
-                        [pending.item for pending in batch])
-                    if (not isinstance(outcomes, list)
-                            or len(outcomes) != len(batch)):
-                        raise WorkerCrashError(
-                            f"worker {worker.name!r} answered "
-                            "a misaligned chunk")
-            except WorkerCrashError as error:
-                self._evict(index, error, in_flight=batch)
-                return
-            except Exception as error:  # noqa: BLE001 — fail the items,
-                # not the group: a task-level error (bad shapes, an
-                # engine bug) leaves the lane healthy.
-                with self._cond:
-                    self._busy[index] = None
-                for pending in batch:
-                    if not pending.future.done():
-                        pending.future.set_exception(error)
-            else:
-                with self._cond:
-                    self._busy[index] = None
-                self._settle_chunk(index, worker, batch, outcomes)
-
-    def _dispatch_windowed(self, index: int, worker: Worker) -> None:
-        """Pipelined dispatch: keep up to W chunks in flight.
-
-        ``send_chunk`` puts chunk N+1 on the wire (or in the child's
-        submission queue) while chunk N computes; ``collect_chunk``
-        reaps strictly in send order.  The window only holds chunks
-        that have actually been *sent* — queued items stay on the
-        lane's deque until the moment of send, so peers steal them
-        exactly as in stop-and-wait.  ``self._busy[index]`` always
-        mirrors the full in-flight window (flattened), and an eviction
-        hands the whole window to the requeue machinery in one piece.
+        ``send_chunk`` ships chunk N+1 (onto the wire, into the child's
+        submission queue, or onto an inline lane's own queue) while
+        chunk N computes; ``collect_chunk`` reaps strictly in send
+        order.  W is :meth:`_lane_window_locked`, capped at the
+        executor's ``pipeline_depth``, so a depth-1 lane (inline
+        threads) is stop-and-wait: send, collect, pull the next chunk.
+        The window only holds chunks that have actually been *sent* —
+        queued items stay on the lane's deque until the moment of send,
+        so peers steal them.  ``self._busy[index]`` always mirrors the
+        full in-flight window (flattened), and an eviction hands the
+        whole window to the requeue machinery in one piece.
         """
+        worker = self.workers[index]
         window: deque[list[_Pending]] = deque()
-
-        def _sync_busy_locked() -> None:
-            flat = [pending for chunk in window for pending in chunk]
-            self._busy[index] = flat or None
-            _fabric_inflight(worker.name, len(window))
-
         while True:
             batch = None
             ledgered: list[tuple[_Pending, WorkResult]] = []
@@ -887,9 +808,10 @@ class WorkerGroup:
                 if (self.chaos is not None and self._others_alive(index)
                         and self.chaos.dispatch_fate(worker.name)
                         == "kill"):
-                    # Hard-kill with a window open: the send (or a later
-                    # collect) fails with the lane's real crash
-                    # signature and the WHOLE window requeues.
+                    # Hard-kill, then dispatch anyway: the send (or a
+                    # later collect) fails with the lane's real crash
+                    # signature (broken child pool, dead socket, killed
+                    # inline lane) and the WHOLE window requeues.
                     worker.kill()
                 try:
                     worker.send_chunk(
@@ -911,80 +833,61 @@ class WorkerGroup:
                 with self._cond:
                     if len(window) > 1:
                         self.metrics.pipelined += len(batch)
-                    _sync_busy_locked()
+                    self._sync_busy_locked(index, worker, window)
                 _fabric_window_occupancy(worker.name, len(window))
                 continue  # try to fill the window before collecting
-            chunk = window[0]
-            try:
-                outcomes = worker.collect_chunk()
-                if (not isinstance(outcomes, list)
-                        or len(outcomes) != len(chunk)):
-                    raise WorkerCrashError(
-                        f"worker {worker.name!r} answered "
-                        "a misaligned chunk")
-            except WorkerCrashError as error:
-                in_flight = [pending for c in window for pending in c]
-                self._evict(index, error, in_flight=in_flight)
+            if not self._collect_oldest(index, worker, window):
                 return
-            except Exception as error:  # noqa: BLE001 — whole-chunk
-                # task failure (typed refusal on a live connection):
-                # the reply was consumed in order, the lane and the
-                # rest of the window stay healthy.
-                window.popleft()
-                with self._cond:
-                    _sync_busy_locked()
-                for pending in chunk:
-                    if not pending.future.done():
-                        pending.future.set_exception(error)
-                continue
-            window.popleft()
-            with self._cond:
-                _sync_busy_locked()
-            self._settle_chunk(index, worker, chunk, outcomes)
+
+    def _sync_busy_locked(self, index: int, worker: Worker,
+                          window: deque) -> None:
+        """Mirror the in-flight window into ``_busy``; lock must be held."""
+        flat = [pending for chunk in window for pending in chunk]
+        self._busy[index] = flat or None
+        _fabric_inflight(worker.name, len(window))
+
+    def _collect_oldest(self, index: int, worker: Worker,
+                        window: deque) -> bool:
+        """Reap and settle the oldest in-flight chunk.
+
+        A whole-chunk task failure (a typed refusal on a live
+        connection: the reply was consumed in order) fails every item
+        of that chunk and keeps the lane.  A lane crash hands the whole
+        window to eviction and returns False — the dispatcher must exit.
+        """
+        chunk = window[0]
+        try:
+            outcomes = worker.collect_chunk()
+            if (not isinstance(outcomes, list)
+                    or len(outcomes) != len(chunk)):
+                raise WorkerCrashError(
+                    f"worker {worker.name!r} answered a misaligned chunk")
+        except WorkerCrashError as error:
+            in_flight = [pending for c in window for pending in c]
+            window.clear()
+            self._evict(index, error, in_flight=in_flight)
+            return False
+        except Exception as error:  # noqa: BLE001 — see docstring
+            outcomes = [error] * len(chunk)
+        window.popleft()
+        with self._cond:
+            self._sync_busy_locked(index, worker, window)
+        self._settle_chunk(index, worker, chunk, outcomes)
+        return True
 
     def _drain_window(self, index: int, worker: Worker,
                       window: deque, removed: bool) -> None:
-        """Park a windowed dispatcher: reap what is already in flight.
+        """Park a dispatcher: reap what is already in flight.
 
-        Graceful exits (stop, ``remove_lane``) let in-flight chunks
-        finish and resolve normally — matching the serial dispatcher,
-        which only parks between chunks.  A crash mid-drain hands the
-        rest of the window to eviction (or fails it outright when the
-        group is stopping — there is nowhere left to requeue).
+        Graceful exits (stop, ``remove_lane``) never abandon a sent
+        chunk: every chunk in the window finishes and resolves normally
+        before the dispatcher exits.  A crash mid-drain hands the rest
+        of the window to eviction, which fails it outright when the
+        group is stopping (there is nowhere left to requeue).  A
+        removed lane is closed here, once its window is empty.
         """
-        while window:
-            chunk = window[0]
-            try:
-                outcomes = worker.collect_chunk()
-                if (not isinstance(outcomes, list)
-                        or len(outcomes) != len(chunk)):
-                    raise WorkerCrashError(
-                        f"worker {worker.name!r} answered "
-                        "a misaligned chunk")
-            except Exception as error:  # noqa: BLE001 — the window is
-                # lost with the lane; route every chunk to requeue.
-                in_flight = [pending for c in window for pending in c]
-                window.clear()
-                with self._cond:
-                    self._busy[index] = None
-                    _fabric_inflight(worker.name, 0)
-                if self._stopping:
-                    for pending in in_flight:
-                        if not pending.future.done():
-                            pending.future.set_exception(WorkerCrashError(
-                                "worker group stopped before the "
-                                "item was executed"))
-                else:
-                    crash = (error if isinstance(error, WorkerCrashError)
-                             else WorkerCrashError(str(error)))
-                    self._evict(index, crash, in_flight=in_flight)
-                break
-            window.popleft()
-            with self._cond:
-                flat = [pending for c in window for pending in c]
-                self._busy[index] = flat or None
-                _fabric_inflight(worker.name, len(window))
-            self._settle_chunk(index, worker, chunk, outcomes)
+        while window and self._collect_oldest(index, worker, window):
+            pass
         if removed:
             worker.close()
 
@@ -1038,6 +941,10 @@ class WorkerGroup:
                         f"{pending.attempts} lane(s) — retry budget "
                         f"(max_attempts={self.max_attempts}) exhausted; "
                         f"last: worker {worker.name!r} died ({error})")))
+                elif self._stopping:
+                    failures.append((pending, WorkerCrashError(
+                        "worker group stopped before the item was "
+                        "executed")))
                 elif not alive:
                     failures.append((pending, WorkerCrashError(
                         f"worker {worker.name!r} died "

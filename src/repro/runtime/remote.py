@@ -20,11 +20,6 @@ Every message, from a connection's first byte, is one RBF1 frame of
                                                "window": W}
     {"op": "ping"}                         -> {"ok": true, "pid": ...}
     {"op": "deploy"} + blob (uint8 pickle) -> {"ok": true, "deployments": N}
-    {"op": "execute", "item_id": 7,
-     "deployment": 0} + images             -> {"ok": true, "item_id": 7,
-                                               "traces": [...],
-                                               "elapsed_s": ..., "pid": ...}
-                                              + logits
     {"op": "execute_many",
      "items": [{"item_id", "deployment"},
                ...]} + images:0, ...       -> {"ok": true, "results": [...]}
@@ -33,8 +28,10 @@ Every message, from a connection's first byte, is one RBF1 frame of
 ``hello`` advertises the server's in-flight window (how many pipelined
 chunks a driver may keep on the wire toward it).  A joining worker
 sends the same facts in its ``join`` handshake instead.
-``execute_many`` ships one whole dispatch chunk per frame to amortize
-framing and round-trips.
+``execute_many`` is the one execute op: it ships one whole dispatch
+chunk per frame (a single item is a chunk of one) to amortize framing
+and round-trips.  Each ``results`` entry is ``{"ok": true, "item_id",
+"traces", "elapsed_s", "pid", "spans"}`` or a per-item error payload.
 
 Task-level failures answer ``{"ok": false, "error": {"type", "message"}}``
 and keep the connection; a known type (``DeploymentError``,
@@ -64,7 +61,6 @@ import random
 import socket
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,19 +124,6 @@ def _configure_socket(sock: socket.socket) -> None:
 # ----------------------------------------------------------------------
 # Worker-side protocol core — shared by --listen and --join
 # ----------------------------------------------------------------------
-def _execute_one(deployments: list[Deployment], item_id, deployment,
-                 images: np.ndarray, trace: dict | None = None
-                 ) -> WorkResult:
-    item = WorkItem(item_id=int(item_id), deployment=int(deployment),
-                    images=images, trace=trace)
-    if not 0 <= item.deployment < len(deployments):
-        raise DeploymentError(
-            f"deployment {item.deployment} is not registered "
-            f"({len(deployments)} deployed); send a 'deploy' "
-            "request first")
-    return execute_item(deployments, item)
-
-
 def _handle_request(deployments: list[Deployment], message: dict,
                     arrays: dict[str, np.ndarray],
                     token: str | None = None,
@@ -168,18 +151,6 @@ def _handle_request(deployments: list[Deployment], message: dict,
             raise ValueError("deploy needs a 1-D uint8 'blob' array")
         deployments[:] = list(pickle.loads(blob))
         return {"ok": True, "deployments": len(deployments)}, {}
-    if op == "execute":
-        result = _execute_one(deployments, message["item_id"],
-                              message["deployment"], arrays["images"],
-                              trace=message.get("trace"))
-        return {
-            "ok": True,
-            "item_id": result.item_id,
-            "traces": [t.to_dict() for t in result.image_traces],
-            "elapsed_s": result.elapsed_s,
-            "pid": result.pid,
-            "spans": result.spans,
-        }, {"logits": result.logits}
     if op == "execute_many":
         specs = message.get("items")
         if not isinstance(specs, list):
@@ -188,10 +159,11 @@ def _handle_request(deployments: list[Deployment], message: dict,
         out_arrays: dict[str, np.ndarray] = {}
         for position, spec in enumerate(specs):
             try:
-                result = _execute_one(deployments, spec["item_id"],
-                                      spec["deployment"],
-                                      arrays[f"images:{position}"],
-                                      trace=spec.get("trace"))
+                item = WorkItem(item_id=int(spec["item_id"]),
+                                deployment=int(spec["deployment"]),
+                                images=arrays[f"images:{position}"],
+                                trace=spec.get("trace"))
+                result = execute_item(deployments, item)
             except Exception as error:  # noqa: BLE001 — per-item
                 # failure inside a healthy chunk: the sibling items'
                 # results must still come back.
@@ -662,7 +634,6 @@ class RemoteWorker(Worker):
         self.pipeline_depth = _MAX_REMOTE_WINDOW
         self._sock: socket.socket | None = None
         self._reader = None
-        self._outstanding: deque[_RemoteFlight] = deque()
         # Serializes the request/response exchange: the group's monitor
         # may ping while the dispatcher thread owns the socket.  The
         # condition lets a whole-exchange request (deploy, hello) wait
@@ -844,27 +815,10 @@ class RemoteWorker(Worker):
         )
 
     def execute(self, item: WorkItem) -> WorkResult:
-        payload = {
-            "op": "execute",
-            "item_id": item.item_id,
-            "deployment": item.deployment,
-        }
-        exchange = None
-        if item.trace:
-            # The wire-side span: everything between handing the images
-            # to the codec and having the reply decoded — serialization
-            # plus network plus remote service.  The remote's own
-            # lane_execute span (returned in the reply) nests inside it.
-            from repro.telemetry import Span
-            exchange = Span.child_of(item.trace, "exchange")
-            payload["trace"] = exchange.context()
-        reply, arrays = self._request(payload, timeout_s=item.timeout_s,
-                                      arrays={"images": item.images})
-        result = self._result_from(reply, arrays["logits"])
-        if exchange is not None:
-            exchange.set(worker=self.name, num_images=item.num_images)
-            result.spans = [exchange.finish().to_dict(), *result.spans]
-        return result
+        outcome = self.execute_many([item])[0]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def execute_many(self, items: list[WorkItem]) -> list:
         """One framed round-trip for a whole dispatch chunk.
@@ -875,13 +829,6 @@ class RemoteWorker(Worker):
         is the chunk's tightest surviving item budget
         (:func:`~repro.runtime.work.chunk_timeout_s`).
         """
-        if len(items) == 1:
-            try:
-                return [self.execute(items[0])]
-            except WorkerCrashError:
-                raise
-            except Exception as error:  # noqa: BLE001 — task failure
-                return [error]
         self.send_chunk(items)
         return self.collect_chunk()
 

@@ -17,8 +17,9 @@ work.WorkItem` at a time.  Three kinds ship:
   metadata.  Sidesteps the GIL; a killed child surfaces as
   :class:`~repro.errors.WorkerCrashError`, which the group turns into
   eviction + requeue instead of a deadlock.
-* ``RemoteWorker`` (``repro.runtime.remote``) — the same protocol over a
-  JSON-lines TCP connection to a host running ``repro worker --listen``.
+* ``RemoteWorker`` (``repro.runtime.remote``) — the same protocol over
+  an RBF1-framed TCP connection to a host running
+  ``repro worker --listen``.
 
 Spec strings name workers uniformly across the CLI, the sweep driver and
 the serving pool: ``"thread"``, ``"process"``, ``"thread:4"`` /
@@ -77,15 +78,16 @@ class Worker(abc.ABC):
     chaos = None
 
     #: Largest in-flight chunk window this executor supports.  ``1``
-    #: means stop-and-wait (the dispatcher waits for each chunk before
-    #: shipping the next); executors that implement the split
-    #: :meth:`send_chunk` / :meth:`collect_chunk` path raise it so the
-    #: group can pipeline encode + transfer of chunk N+1 behind the
-    #: compute of chunk N.
+    #: means stop-and-wait (the dispatcher collects each chunk before
+    #: shipping the next); executors whose :meth:`send_chunk` really
+    #: ships work raise it so the group can pipeline encode + transfer
+    #: of chunk N+1 behind the compute of chunk N.
     pipeline_depth: int = 1
 
     def __init__(self, name: str) -> None:
         self.name = name
+        # Chunks sent but not yet collected, oldest first.
+        self._outstanding: deque = deque()
 
     @abc.abstractmethod
     def start(self) -> None:
@@ -124,22 +126,27 @@ class Worker(abc.ABC):
         return outcomes
 
     def send_chunk(self, items: list[WorkItem]) -> None:
-        """Ship a chunk without waiting for its outcome (windowed
-        dispatch).  Chunks collect strictly in send order; the caller
-        must keep at most :attr:`pipeline_depth` chunks outstanding.
-        Only meaningful on executors with ``pipeline_depth > 1``.
-        """
-        raise NotImplementedError(
-            f"worker kind {self.kind!r} does not pipeline")
+        """Ship a chunk without waiting for its outcome.  Chunks collect
+        strictly in send order; the caller keeps at most
+        :attr:`pipeline_depth` chunks outstanding.  The default only
+        queues the chunk: an inline lane runs it at collect time."""
+        self._outstanding.append(list(items))
 
     def collect_chunk(self) -> list:
         """Block for the *oldest* outstanding chunk; returns one
         :class:`WorkResult` or :class:`Exception` per item, aligned
         with the chunk :meth:`send_chunk` shipped.  A lane death raises
         :class:`WorkerCrashError` (every outstanding chunk is lost with
-        the lane — the group requeues the whole window)."""
-        raise NotImplementedError(
-            f"worker kind {self.kind!r} does not pipeline")
+        the lane — the group requeues the whole window).  The default
+        runs the queued chunk through :meth:`execute_many` on the
+        calling thread."""
+        try:
+            items = self._outstanding.popleft()
+        except IndexError:
+            raise WorkerCrashError(
+                f"worker {self.name!r} has no chunk in flight "
+                "(worker was closed)") from None
+        return self.execute_many(items)
 
     def ping(self, timeout_s: float = 5.0) -> bool:
         """Liveness probe; ``False``/``WorkerCrashError`` marks the lane
@@ -160,6 +167,7 @@ class Worker(abc.ABC):
 
     def close(self) -> None:
         """Release the lane's resources; idempotent."""
+        self._outstanding.clear()
 
 
 class ThreadWorker(Worker):
@@ -293,7 +301,6 @@ class ProcessWorker(Worker):
         # Double-buffered arenas: chunk k packs into slot k % 2.
         self._arenas: list[ShmArena | None] = [None, None]
         self._slot = 0
-        self._outstanding: deque[_ProcessFlight] = deque()
         # Serializes submissions (pack + pool.submit) against the
         # monitor's ping.  The group's monitor pings "idle" lanes, but
         # a chunk may start between its idle check and the ping; a ping

@@ -48,6 +48,9 @@ from repro.runtime.work import ResultLedger
 from repro.serve import InferenceServer, TcpClient, start_tcp_server
 
 
+pytestmark = pytest.mark.usefixtures("fabric_leak_check")
+
+
 def tiny_network(rng, num_steps=3):
     return performance_network(
         [("conv", 4, 3, 1, 1), ("pool", 2), ("flatten",), ("linear", 5)],

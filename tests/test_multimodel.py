@@ -838,12 +838,15 @@ class TestCodecEdgeCases:
             try:
                 reader = sock.makefile("rb")
                 sock.sendall(encode_frame(
-                    {"op": "execute", "item_id": 1, "deployment": 0},
-                    {"images": np.zeros((0,))}))
+                    {"op": "execute_many",
+                     "items": [{"item_id": 1, "deployment": 0}]},
+                    {"images:0": np.zeros((0,))}))
                 reply, _ = read_frame(reader)
-                assert reply["ok"] is False
-                assert reply["error"]["type"] == "DeploymentError"
-                assert "deploy" in reply["error"]["message"]
+                assert reply["ok"] is True
+                [entry] = reply["results"]
+                assert entry["ok"] is False
+                assert entry["error"]["type"] == "DeploymentError"
+                assert "deploy" in entry["error"]["message"]
             finally:
                 sock.close()
 

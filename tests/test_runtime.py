@@ -21,6 +21,7 @@ import io
 import os
 import pickle
 import signal
+import socket
 import time
 
 import numpy as np
@@ -47,6 +48,9 @@ from repro.runtime import (
     normalize_worker_specs,
     read_frame,
 )
+
+
+pytestmark = pytest.mark.usefixtures("fabric_leak_check")
 
 
 def tiny_network(rng, num_steps=3):
@@ -332,6 +336,44 @@ class TestRemoteProtocol:
             finally:
                 worker.close()
 
+    def test_single_execute_op_is_gone(self, rng):
+        """A legacy ``execute`` frame answers a typed error and the same
+        connection goes on serving ``execute_many``."""
+        deployment = tiny_deployment(rng)
+        [item] = make_items(rng, deployment, count=1)
+        inline = ThreadWorker()
+        inline.deploy([deployment])
+        baseline = inline.execute(item)
+        with WorkerServer() as server:
+            sock = socket.create_connection(("127.0.0.1", server.port),
+                                            timeout=10)
+            try:
+                reader = sock.makefile("rb")
+                sock.sendall(encode_frame(
+                    {"op": "execute", "item_id": 0, "deployment": 0},
+                    {"images": item.images}))
+                reply, _ = read_frame(reader)
+                assert reply["ok"] is False
+                assert reply["error"]["type"] == "ValueError"
+                assert "execute" in reply["error"]["message"]
+                blob = np.frombuffer(pickle.dumps([deployment]),
+                                     dtype=np.uint8)
+                sock.sendall(encode_frame({"op": "deploy"},
+                                          {"blob": blob}))
+                reply, _ = read_frame(reader)
+                assert reply["ok"] is True
+                sock.sendall(encode_frame(
+                    {"op": "execute_many",
+                     "items": [{"item_id": 0, "deployment": 0}]},
+                    {"images:0": item.images}))
+                reply, arrays = read_frame(reader)
+                assert reply["ok"] is True
+                assert reply["results"][0]["ok"] is True
+                np.testing.assert_array_equal(arrays["logits:0"],
+                                              baseline.logits)
+            finally:
+                sock.close()
+
     def test_ping_and_pid(self, rng):
         with WorkerServer() as server:
             worker = RemoteWorker("127.0.0.1", server.port)
@@ -520,12 +562,14 @@ class TestWindowedDispatch:
         assert metrics.pipelined == 0
         assert sum(metrics.executed.values()) == len(items)
 
-    def test_inflight_telemetry_feeds_registry(self, rng):
+    @pytest.mark.parametrize("kind", [ThreadWorker, ProcessWorker],
+                             ids=["thread", "process"])
+    def test_inflight_telemetry_feeds_registry(self, rng, kind):
         from repro.telemetry import get_registry
         get_registry().reset()
         deployment = tiny_deployment(rng)
         items = make_items(rng, deployment, count=8, images_each=2)
-        with WorkerGroup([ProcessWorker(name="gauged")],
+        with WorkerGroup([kind(name="gauged")],
                          deployments=[deployment], window=2,
                          max_batch_items=2) as group:
             group.run(items)
@@ -538,3 +582,46 @@ class TestWindowedDispatch:
                     if entry["labels"]["lane"] == "gauged"]
         assert series["count"] >= 2          # one observation per send
         assert series["sum"] >= series["count"]  # depths are >= 1
+        if kind is ThreadWorker:
+            # Depth-1 lane: every send joined an empty window.
+            assert series["sum"] == series["count"]
+
+
+class TestInlineChunks:
+    """The Worker base's send_chunk/collect_chunk pair (inline lanes)."""
+
+    def test_send_collect_matches_execute_many_fifo(self, rng):
+        deployment = tiny_deployment(rng)
+        items = make_items(rng, deployment, count=5, images_each=2)
+        misrouted = WorkItem(item_id=99, deployment=3,
+                             images=items[0].images)
+        worker = ThreadWorker()
+        worker.start()
+        worker.deploy([deployment])
+        chunks = [items[:2], [misrouted, items[2]], items[3:]]
+        expected = [worker.execute_many(chunk) for chunk in chunks]
+        for chunk in chunks:
+            worker.send_chunk(chunk)
+        collected = [worker.collect_chunk() for _ in chunks]
+        for want, got in zip(expected, collected):
+            assert len(want) == len(got)
+            for base, other in zip(want, got):
+                if isinstance(base, Exception):
+                    assert type(other) is type(base)
+                    continue
+                assert other.item_id == base.item_id
+                np.testing.assert_array_equal(base.logits, other.logits)
+                assert base.merged_trace() == other.merged_trace()
+        assert isinstance(collected[1][0], DeploymentError)
+        with pytest.raises(WorkerCrashError):
+            worker.collect_chunk()        # nothing left outstanding
+
+    def test_collect_after_close_is_a_crash(self, rng):
+        deployment = tiny_deployment(rng)
+        worker = ThreadWorker()
+        worker.start()
+        worker.deploy([deployment])
+        worker.send_chunk(make_items(rng, deployment, count=2))
+        worker.close()
+        with pytest.raises(WorkerCrashError):
+            worker.collect_chunk()
