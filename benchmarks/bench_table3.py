@@ -42,7 +42,9 @@ def test_table3_report(runner, benchmark):
     assert ours_cnn2["ffs"] < fang["ffs"] / 2
     assert ours_lenet["luts"] < ju["luts"] / 2
 
-    # Accuracy regime (synthetic datasets, see EXPERIMENTS.md):
+    # Accuracy regime (synthetic datasets; the full paper-vs-model table
+    # is ExperimentRunner().run_table3(include_vgg=True) in
+    # repro.harness.experiments):
     assert ours_lenet["accuracy_pct"] > 95.0
     assert ours_cnn2["accuracy_pct"] > 95.0
 

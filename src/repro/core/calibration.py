@@ -12,9 +12,11 @@ Latency — fitted to Table II (LeNet-5, T=3, 100 MHz, U = 1/2/4/8 →
 rows fit the shift register side by side).  The frozen constants reproduce
 the four Table II points to +0.8% / −0.01% / +0.6% / −8.2% and Table I's
 latency-vs-T line to within 4% (slope error 0.2%).  Applied unchanged to
-the other deployments they predict Table III's LeNet row within ~5%, the
-VGG-11 row within ~26% and the Fang-CNN row within ~25% — see
-EXPERIMENTS.md for the full paper-vs-model table.
+the Table III deployments they are much further off: the model's
+latency is −0.5% from the paper on LeNet-5, −30.3% on VGG-11 and +132%
+on CNN 2 (the Fang-CNN row).  Regenerate the paper-vs-model table with
+``ExperimentRunner().run_table3(include_vgg=True)`` from
+:mod:`repro.harness.experiments`.
 
 Power — fitted to Table II (3.07/3.09/3.17/3.28 W), cross-checked against
 Table III (3.4/3.6 W @200 MHz; 4.9 W @115 MHz with DRAM):

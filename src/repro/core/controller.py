@@ -61,5 +61,5 @@ class Controller:
         form the energy ablations and the sweep driver consume, so
         claims average over many images instead of quoting one.
         """
-        logits, traces = self.engine.run_batch(images)
-        return logits, TraceMerge.from_traces(traces)
+        logits, batch = self.engine.run_merged(images)
+        return logits, batch.merged()

@@ -47,11 +47,13 @@ from repro.core.engine.calibrate import (
 )
 from repro.core.engine.reference import ReferenceEngine
 from repro.core.engine.sparse import SparseEngine
-from repro.core.engine.trace import ExecutionTrace, LayerTrace, TraceMerge
+from repro.core.engine.trace import (BatchTrace, ExecutionTrace, LayerTrace,
+                                     TraceMerge)
 from repro.core.engine.vectorized import VectorizedEngine
 
 __all__ = [
     "AutoEngine",
+    "BatchTrace",
     "CalibrationTable",
     "EngineThresholds",
     "ExecutionEngine",

@@ -83,10 +83,18 @@ class AutoEngine(ExecutionEngine):
         density = np.count_nonzero(images) / images.size
         return "sparse" if density <= self.route_density else "vectorized"
 
-    def run_batch(self, images: np.ndarray):
+    def _route(self, images: np.ndarray):
+        """Validate a batch and pick (and count) its delegate engine."""
         images = self._check_batch(images)
         backend = self.select_backend(images)
         self.last_backend = backend
         _count_route(backend)
-        engine = self._sparse if backend == "sparse" else self._dense
+        return (self._sparse if backend == "sparse" else self._dense), images
+
+    def run_batch(self, images: np.ndarray):
+        engine, images = self._route(images)
         return engine.run_batch(images)
+
+    def _run_batch_trace(self, images: np.ndarray):
+        engine, images = self._route(images)
+        return engine._run_batch_trace(images)

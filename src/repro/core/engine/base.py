@@ -1,8 +1,11 @@
 """The execution-engine abstraction: interchangeable functional backends.
 
 An :class:`ExecutionEngine` executes a compiled model on batches of
-images and returns logits plus per-image :class:`ExecutionTrace` records.
-Two backends ship with the repo —
+images.  ``run_batch`` returns logits plus per-image
+:class:`ExecutionTrace` records; ``run_merged`` — the call the runtime
+makes — returns logits plus one :class:`BatchTrace` for the whole batch,
+which engines with batch-native accounting build without any per-image
+objects.  Two backends ship with the repo —
 
 * ``reference`` — the shift-register/adder-array hardware model, bit- and
   cycle-faithful to the paper's microarchitecture (slow, per-image);
@@ -24,7 +27,7 @@ import numpy as np
 
 from repro.core.calibration import DEFAULT_LATENCY, LatencyCalibration
 from repro.core.compiler import CompiledModel
-from repro.core.engine.trace import ExecutionTrace, TraceMerge
+from repro.core.engine.trace import BatchTrace, ExecutionTrace
 from repro.errors import ConfigurationError, ShapeError
 
 __all__ = [
@@ -63,16 +66,27 @@ class ExecutionEngine(abc.ABC):
 
     def run_merged(
         self, images: np.ndarray
-    ) -> tuple[np.ndarray, list[TraceMerge]]:
-        """Infer a batch; returns per-image :class:`TraceMerge` records.
+    ) -> tuple[np.ndarray, BatchTrace]:
+        """Infer a batch; returns logits and one :class:`BatchTrace`.
 
         This is the shape runtime workers ship across process and host
-        boundaries: integer counter aggregates (JSON/pickle friendly),
-        one per image, whose fold equals the fold of the raw traces —
-        so any re-grouping downstream stays bit-identical.
+        boundaries: integer arrays whose merge equals the fold of the
+        per-image traces, so any re-grouping downstream stays
+        bit-identical.  Backends customize :meth:`_run_batch_trace`, not
+        this method, so every backend enters through this one
+        definition.
         """
+        return self._run_batch_trace(images)
+
+    def _run_batch_trace(
+        self, images: np.ndarray
+    ) -> tuple[np.ndarray, BatchTrace]:
+        """The work behind :meth:`run_merged`.  The default packs
+        ``run_batch``'s per-image traces (and raises
+        :class:`~repro.errors.SimulationError` if their data-independent
+        charges disagree); batch-native engines override it."""
         logits, traces = self.run_batch(images)
-        return logits, [TraceMerge.from_traces([t]) for t in traces]
+        return logits, BatchTrace.from_traces(traces)
 
     def run_image(self, image: np.ndarray) -> tuple[np.ndarray,
                                                     ExecutionTrace]:

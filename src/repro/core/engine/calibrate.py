@@ -3,10 +3,11 @@
 The sparse engine's speed hinges on three guesses: the per-hook density
 above which gather/scatter loses to the dense kernel
 (``DENSE_FALLBACK_DENSITY``), the density below which the popcount
-gather beats ``T`` full passes, and the byte ratio below which COO wire
-frames beat raw buffers.  All three crossovers depend on the *deployed
-model* (layer geometry, kernel sizes, batch shapes) and on the host —
-not on anything a constant can know.  This module makes them measured:
+gather beats a dense bit-count pass, and the byte ratio below which COO
+wire frames beat raw buffers.  All three crossovers depend on the
+*deployed model* (layer geometry, kernel sizes, batch shapes) and on the
+host — not on anything a constant can know.  This module makes them
+measured:
 
 * :func:`calibrate_deployment` runs a few probe batches per layer/hook
   through the sparse and dense code paths, times both, and fits the
@@ -67,7 +68,9 @@ __all__ = [
 #: The historical constants — what every engine uses when no table
 #: exists.  Calibration replaces them with measurements, per deployment.
 DEFAULT_DENSE_FALLBACK = 0.85     # per-hook gather -> dense crossover
-DEFAULT_POPCOUNT_GATHER = 0.5     # nonzero-gather popcount crossover
+#: The dense bit-count popcount beats the nonzero gather at every probed
+#: LeNet-5 density, so uncalibrated, only an all-zero tensor gathers.
+DEFAULT_POPCOUNT_GATHER = 0.0     # nonzero-gather popcount crossover
 DEFAULT_ROUTE_DENSITY = 0.25      # auto: batches denser go vectorized
 DEFAULT_COO_RATIO = 0.9           # codec: COO wins below this byte ratio
 

@@ -14,8 +14,7 @@ only its four compute hooks to gather the *active* work:
   least one spike, and only the kernel columns some patch touches;
 * linear layers drop all-zero input columns before the matmul;
 * adder-operation popcounts are computed over the nonzero entries only
-  (``np.nonzero`` + ``np.bincount``) instead of ``T`` full-tensor
-  passes.
+  (``np.nonzero`` + ``np.bincount``) instead of a full-tensor pass.
 
 Why this is bit-exact rather than merely close: every GEMM goes through
 the layer's cached :class:`~repro.core.gemm.GemmWeights`, the same
@@ -37,10 +36,10 @@ is pure overhead, so each hook falls back to the parent's dense kernel
 above a density threshold.  The thresholds are *calibrated*: when a
 :class:`~repro.core.engine.calibrate.CalibrationTable` is installed for
 this deployment, each layer gets its own measured crossover (and the
-popcount gather its own); otherwise the historical constants apply
-(:data:`DENSE_FALLBACK_DENSITY`, popcount gather at 0.5).  Thresholds
-only choose *which* exact kernel runs, so calibration can never change
-an output bit.
+popcount gather its own); otherwise the default constants apply
+(:data:`DENSE_FALLBACK_DENSITY`; the popcount gather only for an
+all-zero tensor).  Thresholds only choose *which* exact kernel runs, so
+calibration can never change an output bit.
 """
 
 from __future__ import annotations
@@ -155,15 +154,15 @@ class SparseEngine(VectorizedEngine):
                       axis: int | None = None) -> np.ndarray:
         n = x.shape[0]
         flat = x.reshape(n, -1)
-        # The gather (nonzero + fancy indexing) costs about one dense
-        # pass; with T passes saved on the zeros it wins only while
-        # most entries are zero.  The crossover is calibrated.
+        # The gather (nonzero + fancy indexing) costs more than the
+        # dense bit-count pass it saves, so it wins only while most
+        # entries are zero.  The crossover is calibrated.
         if np.count_nonzero(flat) > flat.size * self._popcount_gather:
             return super()._popcount_sum(x, t, weights, axis)
         idx_n, idx_f = np.nonzero(flat)
         if idx_n.size == 0:
             return np.zeros(n, dtype=np.int64)
-        pops = _popcount(flat[idx_n, idx_f], t)
+        pops = _popcount(flat[idx_n, idx_f])
         if weights is not None:
             inner = 1
             for extent in x.shape[axis + 1:]:

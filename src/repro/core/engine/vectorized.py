@@ -28,6 +28,13 @@ recovered from spike popcounts (a spike train's per-step bits of value
 ``v`` sum to ``popcount(v)``).  The equivalence suite pins every trace
 field against the reference engine.
 
+The engine's native output is a :class:`~repro.core.engine.trace.BatchTrace`
+(:meth:`VectorizedEngine._run_batch_trace`, behind ``run_merged``): the
+closed-form charges form one ``(L, 6)`` table computed once per engine
+and shared by every batch, and the adder counters fill one ``(N, L)``
+matrix — no per-image or per-layer objects.  ``run_batch`` expands it
+into per-image :class:`~repro.core.engine.trace.ExecutionTrace` records.
+
 The arithmetic itself is factored into four overridable hooks —
 :meth:`VectorizedEngine._conv_acc`, :meth:`~VectorizedEngine._pool_sums`,
 :meth:`~VectorizedEngine._linear_acc` and
@@ -42,18 +49,20 @@ integer the dense formula returns.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import cached_property
+
 import numpy as np
 
-from repro.core.compiler import CompiledModel, LayerProgram
+from repro.core.compiler import LayerProgram
 from repro.core.engine.base import ExecutionEngine, register_engine
-from repro.core.engine.trace import ExecutionTrace, LayerTrace
+from repro.core.engine.trace import CHARGE_COLUMNS, BatchTrace, ExecutionTrace
 from repro.core.latency import (
     conv_pass_cycles,
     dram_stream_cycles,
     flatten_cycles,
     input_load_cycles,
 )
-from repro.core.stats import MemoryTraffic
 from repro.encoding import radix
 from repro.errors import SimulationError
 from repro.nn import functional as F
@@ -62,29 +71,17 @@ from repro.snn.spec import requantize
 __all__ = ["VectorizedEngine"]
 
 
-def _popcount(values: np.ndarray, num_steps: int) -> np.ndarray:
-    """Per-element spike count of a ``T``-step radix train (elementwise)."""
-    v = values.astype(np.int64, copy=True)
-    pop = np.zeros(values.shape, dtype=np.int64)
-    for _ in range(num_steps):
-        pop += v & 1
-        v >>= 1
-    return pop
+def _popcount(values: np.ndarray) -> np.ndarray:
+    """Per-element spike count of a radix train (elementwise, int64).
+
+    A value's ``T``-step train spikes once per set bit, and activations
+    are clipped to ``[0, 2**T - 1]``, so counting every set bit is exact.
+    """
+    return np.bitwise_count(values).astype(np.int64)
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
-
-
-class _LayerResult:
-    """One layer's batched output plus its (shared + per-image) charges."""
-
-    def __init__(self, out: np.ndarray, cycles: int,
-                 adder_ops: np.ndarray, traffic: MemoryTraffic) -> None:
-        self.out = out
-        self.cycles = cycles
-        self.adder_ops = adder_ops  # (N,) — the only data-dependent counter
-        self.traffic = traffic
 
 
 @register_engine
@@ -96,52 +93,111 @@ class VectorizedEngine(ExecutionEngine):
     def run_batch(
         self, images: np.ndarray
     ) -> tuple[np.ndarray, list[ExecutionTrace]]:
+        logits, batch = self._run_batch_trace(images)
+        return logits, batch.traces()
+
+    def _run_batch_trace(
+        self, images: np.ndarray
+    ) -> tuple[np.ndarray, BatchTrace]:
         images = self._check_batch(images)
-        network = self.compiled.network
-        t = network.num_steps
-        n = images.shape[0]
+        t = self.compiled.network.num_steps
         x = radix.quantize_real(images, t)  # (N, C, H, W) int64
-
-        traces = [ExecutionTrace() for _ in range(n)]
-        in_cycles = input_load_cycles(network.input_shape,
-                                      self.calibration, t)
-        for trace in traces:
-            trace.input_cycles = in_cycles
-
+        programs = self.compiled.programs
+        adder_ops = np.zeros((x.shape[0], len(programs)), dtype=np.int64)
         logits: np.ndarray | None = None
-        for program in self.compiled.programs:
-            dram_cycles = 0
-            streamed_bits = 0
-            if (program.kind in ("conv", "linear")
-                    and not program.weights_on_chip):
-                streamed_bits = (program.spec.num_weights
-                                 * network.weight_bits)
-                if streamed_bits:
-                    dram_cycles = dram_stream_cycles(
-                        streamed_bits, self.compiled.config)
+        for column, program in enumerate(programs):
             if program.kind == "conv":
-                result = self._run_conv(program, x, t)
+                x, adder_ops[:, column] = self._run_conv(program, x, t)
             elif program.kind == "pool":
-                result = self._run_pool(program, x, t)
+                x, adder_ops[:, column] = self._run_pool(program, x, t)
             elif program.kind == "flatten":
-                result = self._run_flatten(program, x, t)
+                x = x.reshape(x.shape[0], -1)  # no adds: a buffer move
             else:  # linear
-                result = self._run_linear(program, x, t)
+                x, adder_ops[:, column] = self._run_linear(program, x, t)
                 if program.spec.is_output:
-                    logits = result.out
-            x = result.out
-            result.traffic.weight_stream_bits += streamed_bits
-            for i, trace in enumerate(traces):
-                traffic = MemoryTraffic()
-                traffic.merge(result.traffic)
-                trace.layers.append(LayerTrace(
-                    name=program.name, kind=program.kind,
-                    cycles=result.cycles, dram_cycles=dram_cycles,
-                    adder_ops=int(result.adder_ops[i]), traffic=traffic))
+                    logits = x
         if logits is None:
             raise SimulationError(
                 "compiled model has no output linear layer")
-        return logits, traces
+        return logits, replace(self._batch_template, adder_ops=adder_ops)
+
+    @cached_property
+    def _batch_template(self) -> BatchTrace:
+        """A zero-image batch trace carrying this deployment's layers,
+        input cycles and read-only ``(L, 6)`` charge table — the part of
+        every batch's trace that the data cannot change."""
+        network = self.compiled.network
+        programs = self.compiled.programs
+        charges = np.array([self._layer_charges(program)
+                            for program in programs],
+                           dtype=np.int64).reshape(len(programs),
+                                                   len(CHARGE_COLUMNS))
+        charges.flags.writeable = False
+        return BatchTrace(
+            layers=tuple((p.name, p.kind) for p in programs),
+            charges=charges,
+            input_cycles=input_load_cycles(network.input_shape,
+                                           self.calibration,
+                                           network.num_steps),
+            adder_ops=np.zeros((0, len(programs)), dtype=np.int64))
+
+    def _layer_charges(self, program: LayerProgram) -> tuple[int, ...]:
+        """One layer's per-image charges, in ``CHARGE_COLUMNS`` order.
+
+        Closed forms of what the unit models charge per loop iteration:
+        the units sweep every plane whether or not it spikes, so none of
+        these depend on the data.
+        """
+        network = self.compiled.network
+        spec = program.spec
+        cal = self.calibration
+        t = network.num_steps
+        dram_cycles = 0
+        streamed_bits = 0
+        if program.kind in ("conv", "linear") and not program.weights_on_chip:
+            streamed_bits = spec.num_weights * network.weight_bits
+            if streamed_bits:
+                dram_cycles = dram_stream_cycles(streamed_bits,
+                                                 self.compiled.config)
+        kernel_reads = 0
+        if program.kind == "conv":
+            c_in, h_in, w_in = spec.in_shape
+            c_out, h_out, w_out = spec.out_shape
+            h_padded = h_in + 2 * spec.padding
+            # Every unit pass sweeps all padded rows of every input
+            # channel at every step; rounds run back to back, concurrent
+            # units tie.
+            per_round = t * (c_in * conv_pass_cycles(spec, cal)
+                             + cal.conv_pass_setup)
+            rounds = program.conv_schedule.num_rounds
+            cycles = rounds * per_round + cal.layer_setup
+            groups = sum(len(r) for r in program.conv_schedule.rounds)
+            reads = groups * t * c_in * h_padded * w_in
+            writes = c_out * h_out * w_out * t
+            kernel_reads = t * c_in * h_padded * spec.kernel_size[0] * c_out
+        elif program.kind == "pool":
+            c, h_in, w_in = spec.in_shape
+            _, h_out, w_out = spec.out_shape
+            cycles = (t * c * (h_in * (spec.size + cal.pool_row_overhead)
+                               + cal.pool_pass_setup)
+                      + cal.layer_setup)
+            reads = t * c * h_in * w_in
+            writes = c * h_out * w_out * t
+        elif program.kind == "flatten":
+            cycles = flatten_cycles(spec, self.compiled.config, t)
+            reads = writes = t * spec.out_features
+        else:  # linear
+            p = self.compiled.config.linear_unit.parallel_outputs
+            blocks = _ceil_div(spec.out_features, p)
+            cycles = (t * (blocks * (spec.in_features
+                                     + cal.linear_block_flush)
+                           + cal.linear_pass_setup)
+                      + cal.layer_setup)
+            reads = t * spec.in_features
+            writes = spec.out_features * t
+            kernel_reads = t * spec.in_features * spec.out_features
+        return (cycles, dram_cycles, reads, writes, kernel_reads,
+                streamed_bits)
 
     # ------------------------------------------------------------------
     # Compute hooks: the arithmetic, separable from the trace charges.
@@ -181,107 +237,58 @@ class VectorizedEngine(ExecutionEngine):
 
         ``weights`` (if given) is a 1-D integer cover applied along
         ``axis`` of ``x``; with no weights every spike counts once.
+        ``t`` is the train length ``x`` was clipped to.
         """
-        pops = _popcount(x, t)
-        if weights is not None:
-            shape = [1] * x.ndim
-            shape[axis] = -1
-            pops = pops * weights.reshape(shape)
-        return pops.reshape(x.shape[0], -1).sum(axis=1)
+        pops = np.bitwise_count(x)  # uint8 per element, exact as _popcount
+        if weights is None:
+            return pops.reshape(x.shape[0], -1).sum(axis=1, dtype=np.int64)
+        # Reduce every other axis first; the cover then weights one
+        # spike count per position along ``axis``.
+        others = tuple(a for a in range(1, x.ndim) if a != axis)
+        return pops.sum(axis=others, dtype=np.int64) @ weights
 
     # ------------------------------------------------------------------
-    # Layer executors: batched compute + closed-form trace charges
+    # Layer executors: batched compute + per-image adder activity
     # ------------------------------------------------------------------
     def _run_conv(self, program: LayerProgram, x: np.ndarray,
-                  t: int) -> _LayerResult:
+                  t: int) -> tuple[np.ndarray, np.ndarray]:
         spec = program.spec
-        cal = self.calibration
         acc = self._conv_acc(program, x) + spec.bias.reshape(1, -1, 1, 1)
         out = requantize(acc, spec.scales, t, channel_axis=1)
-
-        c_in, h_in, w_in = spec.in_shape
-        c_out, h_out, w_out = spec.out_shape
-        kr, kc = spec.kernel_size
-        h_padded = h_in + 2 * spec.padding
-        # Every unit pass sweeps all padded rows of every input channel at
-        # every step; rounds run back to back, concurrent units tie.
-        per_round = t * (c_in * conv_pass_cycles(spec, cal)
-                         + cal.conv_pass_setup)
-        rounds = program.conv_schedule.num_rounds
-        cycles = rounds * per_round + cal.layer_setup
-
-        groups = sum(len(r) for r in program.conv_schedule.rounds)
-        traffic = MemoryTraffic(
-            activation_read_bits=groups * t * c_in * h_padded * w_in,
-            activation_write_bits=c_out * h_out * w_out * t,
-            kernel_read_values=t * c_in * h_padded * kr * c_out,
-        )
 
         # Adder activity: tap (w, j) reads padded column w*stride + j, so
         # an input spike in column x feeds cover(x) shift cycles, each
         # driving the kr adder rows of every output channel's slot.
+        w_in = spec.in_shape[2]
+        c_out, _, w_out = spec.out_shape
+        kr, kc = spec.kernel_size
         cover = np.zeros(w_in + 2 * spec.padding, dtype=np.int64)
         for j in range(kc):
             cover[np.arange(w_out) * spec.stride + j] += 1
         inner = cover[spec.padding:spec.padding + w_in]
         spikes = self._popcount_sum(x, t, inner, axis=3)
-        adder_ops = kr * c_out * spikes
-        return _LayerResult(out, cycles, adder_ops, traffic)
+        return out, kr * c_out * spikes
 
     def _run_pool(self, program: LayerProgram, x: np.ndarray,
-                  t: int) -> _LayerResult:
+                  t: int) -> tuple[np.ndarray, np.ndarray]:
         spec = program.spec
-        cal = self.calibration
         out = self._pool_sums(spec, x) >> spec.shift
-
-        c, h_in, w_in = spec.in_shape
-        _, h_out, w_out = spec.out_shape
-        cycles = (t * c * (h_in * (spec.size + cal.pool_row_overhead)
-                           + cal.pool_pass_setup)
-                  + cal.layer_setup)
-        traffic = MemoryTraffic(
-            activation_read_bits=t * c * h_in * w_in,
-            activation_write_bits=c * h_out * w_out * t,
-        )
         # The pool unit sums whole rows: a spike in input row r is added
         # once per output row whose window covers r.
+        h_in = spec.in_shape[1]
+        h_out = spec.out_shape[1]
         cover = np.zeros(h_in, dtype=np.int64)
         for oy in range(h_out):
             cover[oy * spec.stride:oy * spec.stride + spec.size] += 1
-        adder_ops = self._popcount_sum(x, t, cover, axis=2)
-        return _LayerResult(out, cycles, adder_ops, traffic)
-
-    def _run_flatten(self, program: LayerProgram, x: np.ndarray,
-                     t: int) -> _LayerResult:
-        spec = program.spec
-        out = x.reshape(x.shape[0], -1)
-        bits = t * spec.out_features
-        traffic = MemoryTraffic(activation_read_bits=bits,
-                                activation_write_bits=bits)
-        cycles = flatten_cycles(spec, self.compiled.config, t)
-        adder_ops = np.zeros(x.shape[0], dtype=np.int64)
-        return _LayerResult(out, cycles, adder_ops, traffic)
+        return out, self._popcount_sum(x, t, cover, axis=2)
 
     def _run_linear(self, program: LayerProgram, x: np.ndarray,
-                    t: int) -> _LayerResult:
+                    t: int) -> tuple[np.ndarray, np.ndarray]:
         spec = program.spec
-        cal = self.calibration
         acc = self._linear_acc(program, x) + spec.bias.reshape(1, -1)
         if spec.is_output:
             out = acc
         else:
             out = requantize(acc, spec.scales, t, channel_axis=1)
-
-        p = self.compiled.config.linear_unit.parallel_outputs
-        blocks = _ceil_div(spec.out_features, p)
-        cycles = (t * (blocks * (spec.in_features + cal.linear_block_flush)
-                       + cal.linear_pass_setup)
-                  + cal.layer_setup)
-        traffic = MemoryTraffic(
-            activation_read_bits=t * spec.in_features,
-            activation_write_bits=spec.out_features * t,
-            kernel_read_values=t * spec.in_features * spec.out_features,
-        )
         # Each input spike gates one add in every parallel output's adder.
-        adder_ops = self._popcount_sum(x, t) * spec.out_features
-        return _LayerResult(out, cycles, adder_ops, traffic)
+        return out, self._popcount_sum(x, t) * spec.out_features

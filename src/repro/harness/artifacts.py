@@ -4,7 +4,9 @@ Training the workload models takes minutes; every experiment that needs a
 trained LeNet/Fang-CNN/VGG first consults this cache (keyed by model name,
 spike-train length, weight bits, dataset size and seed), so re-running a
 benchmark re-trains nothing.  Results are stored as JSON next to the
-weights for the EXPERIMENTS.md record.
+weights, so the paper-vs-model tables of :mod:`repro.harness.experiments`
+(e.g. ``ExperimentRunner().run_table3(include_vgg=True)``) can be
+regenerated without retraining.
 """
 
 from __future__ import annotations

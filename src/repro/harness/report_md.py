@@ -1,8 +1,9 @@
 """Markdown report generation.
 
-Turns the structured results of the experiment runners into a single
-markdown document (the same shape as EXPERIMENTS.md), so a full
-reproduction run can refresh the paper-vs-measured record with one call::
+Turns the structured results of the experiment runners in
+:mod:`repro.harness.experiments` (``run_table3(include_vgg=True)`` and
+its siblings) into a single markdown document, so a full reproduction
+run can refresh the paper-vs-measured record with one call::
 
     from repro.harness import ExperimentRunner, write_report
     write_report(ExperimentRunner(), "report.md")

@@ -8,11 +8,11 @@ merges the per-shard results back into one :class:`TaskOutcome` per task.
 
 Everything that crosses a process boundary here is plain picklable state:
 frozen dataclasses of numpy arrays (``QuantizedNetwork``,
-``AcceleratorConfig``, ``LatencyCalibration``) and integer counters
-(:class:`~repro.core.engine.trace.TraceMerge`).  Merging is deterministic
-by construction — predictions concatenate in shard order and trace
-counters are commutative integer sums — so any worker count and any shard
-size reproduce the single-process result bit for bit.
+``AcceleratorConfig``, ``LatencyCalibration``) and per-layer integer
+tables (:class:`~repro.core.engine.trace.TraceMerge`).  Merging is
+deterministic by construction — predictions concatenate in shard order
+and trace counters are commutative integer sums — so any worker count
+and any shard size reproduce the single-process result bit for bit.
 """
 
 from __future__ import annotations

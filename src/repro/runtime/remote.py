@@ -23,7 +23,8 @@ Every message, from a connection's first byte, is one RBF1 frame of
     {"op": "execute_many",
      "items": [{"item_id", "deployment"},
                ...]} + images:0, ...       -> {"ok": true, "results": [...]}
-                                              + logits:0, ...
+                                              + logits:0, charges:0,
+                                                adder_ops:0, ...
 
 ``hello`` advertises the server's in-flight window (how many pipelined
 chunks a driver may keep on the wire toward it).  A joining worker
@@ -31,7 +32,10 @@ sends the same facts in its ``join`` handshake instead.
 ``execute_many`` is the one execute op: it ships one whole dispatch
 chunk per frame (a single item is a chunk of one) to amortize framing
 and round-trips.  Each ``results`` entry is ``{"ok": true, "item_id",
-"traces", "elapsed_s", "pid", "spans"}`` or a per-item error payload.
+"layers", "input_cycles", "elapsed_s", "pid", "spans"}`` or a per-item
+error payload.  Entry ``i``'s batch trace rides the body as int64
+arrays: ``charges:i`` (one row of data-independent charges per layer)
+and ``adder_ops:i`` (one row per image, one column per layer).
 
 Task-level failures answer ``{"ok": false, "error": {"type", "message"}}``
 and keep the connection; a known type (``DeploymentError``,
@@ -44,7 +48,7 @@ on.  Transport-level failures (closed socket, blown timeout) surface as
 requeues its work.
 
 Results are bit-identical to a local run: images and logits cross the
-wire as raw buffers, traces as integer counters.  The ``deploy`` blob
+wire as raw buffers, traces as integer arrays.  The ``deploy`` blob
 is pickled — **only attach workers you trust, over networks you
 trust**; this is a lab/cluster fabric, not a public API.  An optional
 shared secret softens the caveat: a server started with a ``token``
@@ -65,7 +69,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.engine.trace import TraceMerge
+from repro.core.engine.trace import CHARGE_COLUMNS, BatchTrace
 from repro.errors import (
     CodecError,
     DeploymentError,
@@ -172,12 +176,15 @@ def _handle_request(deployments: list[Deployment], message: dict,
             results.append({
                 "ok": True,
                 "item_id": result.item_id,
-                "traces": [t.to_dict() for t in result.image_traces],
+                "layers": result.trace.layers,
+                "input_cycles": result.trace.input_cycles,
                 "elapsed_s": result.elapsed_s,
                 "pid": result.pid,
                 "spans": result.spans,
             })
             out_arrays[f"logits:{position}"] = result.logits
+            out_arrays[f"charges:{position}"] = result.trace.charges
+            out_arrays[f"adder_ops:{position}"] = result.trace.adder_ops
         return {"ok": True, "results": results}, out_arrays
     raise ValueError(f"unknown op {op!r}")
 
@@ -792,7 +799,8 @@ class RemoteWorker(Worker):
                 f"worker {self.name!r} rejected the fabric token: "
                 f"{error}") from error
 
-    def _result_from(self, reply: dict, logits) -> WorkResult:
+    def _result_from(self, reply: dict, arrays: dict,
+                     position: int) -> WorkResult:
         spans = list(reply.get("spans") or [])
         # The server side executes with no knowledge of what this group
         # calls its lane, so its lane_execute spans come back with an
@@ -803,16 +811,58 @@ class RemoteWorker(Worker):
             attrs = span.get("attrs")
             if isinstance(attrs, dict) and not attrs.get("worker"):
                 attrs["worker"] = self.name
+        logits, trace = self._batch_from(reply, arrays, position)
         return WorkResult(
             item_id=int(reply["item_id"]),
             logits=logits,
-            image_traces=[TraceMerge.from_dict(t)
-                          for t in reply["traces"]],
+            trace=trace,
             elapsed_s=float(reply["elapsed_s"]),
             worker=self.name,
             pid=int(reply.get("pid", 0)),
             spans=spans,
         )
+
+    def _batch_from(self, reply: dict, arrays: dict,
+                    position: int) -> tuple[np.ndarray, BatchTrace]:
+        """Result ``position``'s logits and batch trace, checked for
+        shape: a reply that does not line up is a broken lane
+        (:class:`WorkerCrashError`), never a silently wrong trace."""
+        def broken(why: str) -> WorkerCrashError:
+            return WorkerCrashError(
+                f"worker {self.name!r} sent a malformed result "
+                f"{position}: {why}")
+
+        layers = reply.get("layers")
+        if not isinstance(layers, list) or not all(
+                isinstance(layer, list) and len(layer) == 2
+                and all(isinstance(part, str) for part in layer)
+                for layer in layers):
+            raise broken("'layers' is not a list of [name, kind] pairs")
+        input_cycles = reply.get("input_cycles")
+        if type(input_cycles) is not int:
+            raise broken("'input_cycles' is not an integer")
+        logits, charges, adder_ops = (
+            arrays.get(f"{name}:{position}")
+            for name in ("logits", "charges", "adder_ops"))
+        for name, array in (("logits", logits), ("charges", charges),
+                            ("adder_ops", adder_ops)):
+            if array is None:
+                raise broken(f"no '{name}:{position}' array")
+            if name != "logits" and array.dtype != np.int64:
+                raise broken(f"'{name}' is {array.dtype}, not int64")
+        if logits.ndim != 2:
+            raise broken(f"logits shaped {logits.shape}")
+        if charges.shape != (len(layers), len(CHARGE_COLUMNS)):
+            raise broken(f"charges shaped {charges.shape} for "
+                         f"{len(layers)} layers")
+        if adder_ops.shape != (logits.shape[0], len(layers)):
+            raise broken(f"adder_ops shaped {adder_ops.shape} for "
+                         f"{logits.shape[0]} images x {len(layers)} "
+                         "layers")
+        return logits, BatchTrace(
+            layers=tuple((name, kind) for name, kind in layers),
+            charges=charges, input_cycles=input_cycles,
+            adder_ops=adder_ops)
 
     def execute(self, item: WorkItem) -> WorkResult:
         outcome = self.execute_many([item])[0]
@@ -929,7 +979,7 @@ class RemoteWorker(Worker):
         outcomes: list = []
         for position, entry in enumerate(entries):
             outcomes.append(
-                self._result_from(entry, arrays[f"logits:{position}"])
+                self._result_from(entry, arrays, position)
                 if entry.get("ok") else _remote_error(entry))
         if flight.spans:
             shared = len(items) > 1

@@ -2,7 +2,7 @@
 
 Serving and sweeps used to speak different worker dialects; the fabric
 reduces both to one sentence: *run this batch of images on that
-deployment and send back logits plus per-image trace aggregates*.
+deployment and send back logits plus the batch's trace*.
 
 * :class:`Deployment` — everything that determines a result: the
   quantized network, the accelerator config, the engine backend and the
@@ -13,10 +13,11 @@ deployment and send back logits plus per-image trace aggregates*.
   (the sweep driver parks its shard bookkeeping there; metadata never
   crosses a process or host boundary).
 * :class:`WorkResult` — integer logits, one
-  :class:`~repro.core.engine.trace.TraceMerge` per image, wall time and
-  the identity of whoever ran it.  Per-image merges are the smallest
-  aggregate that still lets serving slice per-request accounting and
-  sweeps fold shard totals — both bit-identical to a local run.
+  :class:`~repro.core.engine.trace.BatchTrace` (shared per-layer
+  charges plus an ``(N, L)`` adder-ops matrix), wall time and the
+  identity of whoever ran it.  The batch trace is the smallest form
+  that still lets serving slice per-request accounting and sweeps fold
+  shard totals — both bit-identical to a local run.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from repro.core.calibration import DEFAULT_LATENCY, LatencyCalibration
 from repro.core.config import AcceleratorConfig
 from repro.core.engine import warm_engine
-from repro.core.engine.trace import TraceMerge
+from repro.core.engine.trace import BatchTrace, TraceMerge
 from repro.errors import DeploymentError
 
 __all__ = ["Deployment", "ResultLedger", "WorkItem", "WorkResult",
@@ -141,7 +142,7 @@ class WorkResult:
 
     item_id: int
     logits: np.ndarray                   # (N, classes) integer logits
-    image_traces: list[TraceMerge]       # one single-image merge each
+    trace: BatchTrace                    # the batch's per-layer trace
     elapsed_s: float
     worker: str = ""                     # group-unique worker name
     pid: int = 0                         # executing process id
@@ -156,11 +157,8 @@ class WorkResult:
         return self.logits.argmax(axis=1).astype(np.int64)
 
     def merged_trace(self) -> TraceMerge:
-        """Fold the per-image merges (order-independent integer sums)."""
-        merged = TraceMerge()
-        for trace in self.image_traces:
-            merged.merge(trace)
-        return merged
+        """The whole item as one aggregate (exact integer sums)."""
+        return self.trace.merged()
 
 
 class ResultLedger:
@@ -257,14 +255,12 @@ def execute_item(deployments, item: WorkItem,
         from repro.telemetry import Span
         span = Span.child_of(item.trace, "lane_execute")
     started = time.perf_counter()
-    logits, image_traces = engine.run_merged(item.images)
+    logits, trace = engine.run_merged(item.images)
     elapsed_s = time.perf_counter() - started
     spans: list = []
     if span is not None:
         from repro.core.energy import trace_energy
-        merged = TraceMerge()
-        for trace in image_traces:
-            merged.merge(trace)
+        merged = trace.merged()
         span.set(worker=worker, backend=deployment.backend,
                  deployment=item.deployment, num_images=item.num_images,
                  cycles=int(merged.total_cycles),
@@ -274,7 +270,7 @@ def execute_item(deployments, item: WorkItem,
     return WorkResult(
         item_id=item.item_id,
         logits=logits,
-        image_traces=image_traces,
+        trace=trace,
         elapsed_s=elapsed_s,
         worker=worker,
         pid=os.getpid(),

@@ -41,7 +41,7 @@ import numpy as np
 from repro.core.calibration import DEFAULT_LATENCY, LatencyCalibration
 from repro.core.config import AcceleratorConfig
 from repro.core.engine import resolve_backend, warm_compile
-from repro.core.engine.trace import TraceMerge
+from repro.core.engine.trace import BatchTrace
 from repro.errors import (
     ConfigurationError,
     ReplicaDivergenceError,
@@ -185,12 +185,12 @@ class EnginePool:
         timeout_s: float | None = None,
         key: str | None = None,
         trace: dict | None = None,
-    ) -> tuple[np.ndarray, list[TraceMerge]]:
+    ) -> tuple[np.ndarray, BatchTrace]:
         """Execute one micro-batch on the next free warm lane.
 
         ``deployment`` is the registry *table index* the batch runs
         against (the server resolves names to indices before calling).
-        Returns ``(logits, per-image TraceMerge list)``; a crashed lane
+        Returns ``(logits, batch trace)``; a crashed lane
         is evicted and the batch re-runs on a healthy one before this
         resolves.  ``key`` pins the batch's idempotency key (a retried
         batch carrying the same key is answered from the group's result
@@ -213,14 +213,14 @@ class EnginePool:
                             trace=trace, key=key)
         future = self._group.submit(item)
         result = await asyncio.wrap_future(future)
-        return result.logits, result.image_traces
+        return result.logits, result.trace
 
     async def run_batch_replicated(
         self, images: np.ndarray, deployment: int = 0,
         replicas: int = 2, quorum: int | None = None,
         timeout_s: float | None = None,
         trace: dict | None = None,
-    ) -> tuple[np.ndarray, list[TraceMerge]]:
+    ) -> tuple[np.ndarray, BatchTrace]:
         """Execute one batch ``replicas`` times and runtime-assert the
         answers bit-identical before returning one of them.
 
@@ -265,15 +265,14 @@ class EnginePool:
         reference = results[0]
         for position, result in enumerate(results[1:], start=2):
             if not np.array_equal(reference.logits, result.logits) or \
-                    [t.to_dict() for t in reference.image_traces] != \
-                    [t.to_dict() for t in result.image_traces]:
+                    reference.trace != result.trace:
                 raise ReplicaDivergenceError(
                     f"replica {position}/{len(results)} (worker "
                     f"{result.worker!r}) disagrees with replica 1 "
                     f"(worker {reference.worker!r}) on a "
                     f"deployment-{deployment} batch — deterministic "
                     "engines diverged, refusing to pick a winner")
-        return reference.logits, reference.image_traces
+        return reference.logits, reference.trace
 
     def add_lane(self, worker_or_spec) -> str:
         """Admit a lane into the running pool (elastic capacity).

@@ -19,13 +19,13 @@ The single-model constructor (a bare network) registers it under the
 name ``"default"`` and behaves exactly as before.
 
 Determinism contract: batching is a pure re-grouping.  The engines
-return one :class:`~repro.core.engine.trace.ExecutionTrace` per image
-whatever the batch shape, so a request's prediction, cycle count and
-energy are identical whether it ran alone or inside a 64-deep
-micro-batch (``tests/test_serve.py`` pins this, and the load generator
-asserts predictions against direct ``Accelerator.run_logits`` output at
-runtime; ``tests/test_multimodel.py`` pins it per deployment on a
-shared pool).
+return one :class:`~repro.core.engine.trace.BatchTrace` per micro-batch
+whose per-image slice is the same whatever the batch shape, so a
+request's prediction, cycle count and energy are identical whether it
+ran alone or inside a 64-deep micro-batch (``tests/test_serve.py`` pins
+this, and the load generator asserts predictions against direct
+``Accelerator.run_logits`` output at runtime;
+``tests/test_multimodel.py`` pins it per deployment on a shared pool).
 """
 
 from __future__ import annotations
@@ -844,12 +844,12 @@ class InferenceServer:
                 batch_trace = exec_span.context()
         try:
             if lane.replicas > 1:
-                logits, traces = await self.pool.run_batch_replicated(
+                logits, engine_trace = await self.pool.run_batch_replicated(
                     images, deployment=lane.entry.index,
                     replicas=lane.replicas, quorum=self.quorum,
                     trace=batch_trace)
             else:
-                logits, traces = await self.pool.run_batch(
+                logits, engine_trace = await self.pool.run_batch(
                     images, deployment=lane.entry.index,
                     trace=batch_trace)
         except BaseException as error:
@@ -885,7 +885,7 @@ class InferenceServer:
         deployment = lane.entry.deployment
         weight_bits = deployment.network.weight_bits
         for i, request in enumerate(batch):
-            trace = traces[i]  # already a per-image TraceMerge
+            trace = engine_trace.image(i)
             cycles = trace.total_cycles
             queue_wait_ms = (started - request.enqueued_at) * 1e3
             latency_ms = (finished - request.enqueued_at) * 1e3

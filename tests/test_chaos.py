@@ -19,6 +19,7 @@ No pytest-asyncio in the toolchain: tests drive coroutines with
 """
 
 import asyncio
+import dataclasses
 import socket
 import threading
 import time
@@ -451,6 +452,39 @@ class TestServeUnderChaos:
             [r.prediction for r in reference]
         assert snapshot.replica_divergences == 0
         assert snapshot.completed == len(images)
+
+    def test_replicas_differing_in_one_adder_op_diverge(self, rng,
+                                                        monkeypatch):
+        """Equal logits are not enough: one adder-ops element off in one
+        replica's batch trace is a divergence."""
+        from repro.errors import ReplicaDivergenceError
+        from repro.runtime import workers
+        from repro.serve import EnginePool
+
+        network = tiny_network(rng)
+        images = rng.random((3,) + network.input_shape)
+        honest = workers.execute_item
+        executed = []
+
+        def tampered(deployments, item, worker=""):
+            result = honest(deployments, item, worker)
+            executed.append(item.item_id)
+            if len(executed) == 2:  # the second replica
+                adder_ops = result.trace.adder_ops.copy()
+                adder_ops[1, 0] += 1
+                result.trace = dataclasses.replace(result.trace,
+                                                   adder_ops=adder_ops)
+            return result
+
+        monkeypatch.setattr(workers, "execute_item", tampered)
+        pool = EnginePool(network)
+        pool.start()
+        try:
+            with pytest.raises(ReplicaDivergenceError):
+                asyncio.run(pool.run_batch_replicated(images, replicas=2))
+        finally:
+            pool.shutdown()
+        assert len(executed) == 2
 
     def test_replica_validation(self, rng):
         network = tiny_network(rng)

@@ -17,9 +17,15 @@ The contracts pinned here:
   ``REPRO_NO_SHM=1`` (the pickle path) produces the same bits;
 * batched submission (``submit_many``/``execute_many``) returns the
   same results as item-at-a-time dispatch, with per-item task errors
-  failing only their own future.
+  failing only their own future;
+* an ``execute_many`` reply's batch-trace arrays are validated client
+  side: a missing array, a non-int64 trace array or a shape that does
+  not line up with the item's logits and layer list is a broken lane
+  (``WorkerCrashError``), never a silently wrong trace — hand-listed
+  cases beside a hypothesis fuzz of the reply shape.
 """
 
+import functools
 import io
 import json
 import pickle
@@ -35,7 +41,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AcceleratorConfig
-from repro.errors import CodecError, DeploymentError
+from repro.core.engine.trace import CHARGE_COLUMNS
+from repro.errors import CodecError, DeploymentError, WorkerCrashError
 from repro.models import performance_network
 from repro.runtime import (
     Deployment,
@@ -44,6 +51,7 @@ from repro.runtime import (
     RemoteWorker,
     ThreadWorker,
     WorkItem,
+    WorkResult,
     WorkerGroup,
     WorkerServer,
     attach_token,
@@ -60,6 +68,8 @@ from repro.runtime.codec import (
     MAX_BODY_BYTES,
     MAX_HEADER_BYTES,
 )
+from repro.runtime.remote import _handle_request, _RemoteFlight
+from repro.runtime.work import execute_item
 from test_runtime import make_items, run_group, tiny_deployment
 
 _PREFIX = struct.Struct("<4sIQ")
@@ -362,6 +372,139 @@ class TestFrameFuzz:
             assert decoded[name].shape == array.shape
             # Byte comparison: NaN payloads and -0.0 must survive too.
             assert decoded[name].tobytes() == array.tobytes()
+
+
+@functools.cache
+def execute_reply():
+    """A genuine two-item ``execute_many`` exchange, as the driver reads
+    it: ``(items, reply payload, reply arrays, local results)``."""
+    rng = np.random.default_rng(7)
+    deployment = tiny_deployment(rng)
+    items = make_items(rng, deployment, count=2)
+    message = {"op": "execute_many",
+               "items": [{"item_id": item.item_id, "deployment": 0}
+                         for item in items]}
+    arrays = {f"images:{position}": item.images
+              for position, item in enumerate(items)}
+    reply, out = _handle_request([deployment], message, arrays)
+    reply, out = read_frame(io.BytesIO(encode_frame(reply, out)))
+    local = [execute_item([deployment], item) for item in items]
+    return items, reply, out, local
+
+
+def decode_reply(reply: dict, arrays: dict) -> list:
+    """The driver side of a chunk: decode a reply for execute_reply's
+    items, after one more trip through the frame codec."""
+    items = execute_reply()[0]
+    reply, arrays = read_frame(io.BytesIO(encode_frame(reply, arrays)))
+    worker = RemoteWorker("127.0.0.1", 1, name="probe")
+    return worker._decode_chunk(reply, arrays, _RemoteFlight(list(items)))
+
+
+def mutated(entry_fields=None, **arrays_changed):
+    """execute_reply's payload and arrays with result 1 altered:
+    ``entry_fields`` overrides header fields, an array set to None is
+    dropped, any other value replaces it."""
+    _, reply, arrays, _ = execute_reply()
+    reply = json.loads(json.dumps(reply))
+    reply["results"][1].update(entry_fields or {})
+    arrays = dict(arrays)
+    for name, value in arrays_changed.items():
+        if value is None:
+            del arrays[f"{name}:1"]
+        else:
+            arrays[f"{name}:1"] = value
+    return reply, arrays
+
+
+class TestBatchTraceReplies:
+    def test_reply_carries_trace_arrays_not_json(self):
+        _, reply, arrays, local = execute_reply()
+        for position, result in enumerate(local):
+            entry = reply["results"][position]
+            assert "traces" not in entry
+            assert arrays[f"adder_ops:{position}"].dtype == np.int64
+            np.testing.assert_array_equal(arrays[f"adder_ops:{position}"],
+                                          result.trace.adder_ops)
+            np.testing.assert_array_equal(arrays[f"charges:{position}"],
+                                          result.trace.charges)
+        for got, want in zip(decode_reply(reply, arrays), local):
+            assert isinstance(got, WorkResult)
+            assert got.trace == want.trace
+            assert got.merged_trace() == want.merged_trace()
+
+    @pytest.mark.parametrize("name", ["logits", "charges", "adder_ops"])
+    def test_missing_array(self, name):
+        with pytest.raises(WorkerCrashError):
+            decode_reply(*mutated(**{name: None}))
+
+    @pytest.mark.parametrize("name,dtype", [
+        ("charges", np.int32), ("adder_ops", np.float64),
+        ("adder_ops", np.uint64)])
+    def test_trace_array_not_int64(self, name, dtype):
+        arrays = execute_reply()[2]
+        with pytest.raises(WorkerCrashError):
+            decode_reply(*mutated(**{name: arrays[f"{name}:1"]
+                                     .astype(dtype)}))
+
+    def test_adder_ops_rows_differ_from_logits(self):
+        arrays = execute_reply()[2]
+        with pytest.raises(WorkerCrashError):
+            decode_reply(*mutated(adder_ops=arrays["adder_ops:1"][:-1]))
+        with pytest.raises(WorkerCrashError):
+            decode_reply(*mutated(logits=arrays["logits:1"][:-1]))
+
+    def test_columns_differ_from_layer_list(self):
+        reply, arrays = execute_reply()[1:3]
+        layers = reply["results"][1]["layers"]
+        with pytest.raises(WorkerCrashError):
+            decode_reply(*mutated(adder_ops=arrays["adder_ops:1"][:, :-1]))
+        with pytest.raises(WorkerCrashError):
+            decode_reply(*mutated(charges=arrays["charges:1"][:-1]))
+        with pytest.raises(WorkerCrashError):
+            decode_reply(*mutated({"layers": layers[:-1]}))
+        with pytest.raises(WorkerCrashError):
+            decode_reply(*mutated({"layers": "conv1"}))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mutated_reply_shapes(self, data):
+        """Whatever shape, dtype or header a result's trace arrives in,
+        decoding returns a consistent trace or raises WorkerCrashError."""
+        _, reply, arrays, _ = execute_reply()
+        changes = {}
+        fields = {}
+        for name in data.draw(st.lists(
+                st.sampled_from(["logits", "charges", "adder_ops",
+                                 "layers", "input_cycles"]),
+                min_size=1, max_size=3, unique=True)):
+            if name in ("layers", "input_cycles"):
+                fields[name] = data.draw(maybe(st.lists(
+                    st.lists(st.text(max_size=4), min_size=2,
+                             max_size=2), max_size=12)))
+                continue
+            action = data.draw(st.sampled_from(["drop", "retype",
+                                                "reshape"]))
+            if action == "drop":
+                changes[name] = None
+            elif action == "retype":
+                changes[name] = arrays[f"{name}:1"].astype(
+                    data.draw(st.sampled_from(WIRE_DTYPES)))
+            else:
+                changes[name] = data.draw(hnp.arrays(
+                    np.int64, hnp.array_shapes(min_dims=0, max_dims=3,
+                                               min_side=0, max_side=12)))
+        try:
+            outcomes = decode_reply(*mutated(fields, **changes))
+        except WorkerCrashError:
+            return
+        for outcome in outcomes:
+            trace = outcome.trace
+            assert trace.charges.dtype == trace.adder_ops.dtype == np.int64
+            assert trace.charges.shape == (len(trace.layers),
+                                           len(CHARGE_COLUMNS))
+            assert trace.adder_ops.shape == (outcome.logits.shape[0],
+                                             len(trace.layers))
 
 
 class TestFrameNegotiation:
