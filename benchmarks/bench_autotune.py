@@ -6,13 +6,14 @@ the resulting table to its promises and records the evidence in
 ``artifacts/bench_autotune.json``:
 
 * **Density routing** — at every density bucket from near-silent to
-  dense, the ``auto`` backend (which routes each batch to ``sparse`` or
-  ``vectorized`` by observed density using the calibrated crossover)
-  must land within 5 % of the *better* of the two fixed backends, and
-  at the sparsest and densest buckets it must be strictly faster than
-  the *worse* one — i.e. routing by the table picks the winning engine
+  dense, the ``sparse`` backend (which runs each batch on its sparse
+  hooks or, above the calibrated crossover, on the ``vectorized``
+  kernels) must land within 5 % of the *better* of the two fixed paths
+  — ``vectorized`` and ``sparse`` with routing disabled — and at the
+  sparsest and densest buckets it must be strictly faster than the
+  *worse* one — i.e. routing by the table picks the winning kernels
   where the choice matters.  Logits and traces are asserted
-  bit-identical across all three backends at every bucket.
+  bit-identical across all three at every bucket.
 * **Saturation-aware sharding** — on a cheap-per-image event workload
   (mostly silent frames on the sparse backend), a
   ``SweepDriver(saturate=True)`` run on 2 process lanes must beat a
@@ -29,15 +30,17 @@ the resulting table to its promises and records the evidence in
 
 import itertools
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from repro.core import AcceleratorConfig
-from repro.core.engine import warm_engine
+from repro.core.engine import create_engine, warm_engine
 from repro.core.engine.calibrate import calibrate_deployment, probe_batch
 from repro.harness import Table
 from repro.harness.sweep import SweepDriver, SweepTask
+from repro.telemetry import get_registry
 
 from benchmarks.conftest import (
     FAST_MODE,
@@ -90,21 +93,33 @@ def _calibrated_lenet(runner):
     return snn, config, table, cached
 
 
-def run_auto_routing(runner, rng) -> dict:
-    """Gate 1: auto must track the better fixed backend per bucket."""
+def _routed_total(backend: str) -> float:
+    return get_registry().counter(
+        "engine_auto_routed_total",
+        labelnames=("backend",)).labels(backend=backend).value
+
+
+def run_sparse_routing(runner, rng) -> dict:
+    """Gate 1: routed sparse must track the better fixed path per bucket."""
     snn, config, table, cached = _calibrated_lenet(runner)
-    # Warm-cache engines: install_table refreshed their thresholds in
-    # place, and auto's children ARE these instances — so the race
-    # below compares routing overhead, not engine-instance luck.
-    engines = {name: warm_engine(snn.network, config, name)
-               for name in ("vectorized", "sparse", "auto")}
-    assert engines["auto"]._sparse is engines["sparse"]
-    assert engines["auto"]._dense is engines["vectorized"]
+    # The warm sparse engine: install_table refreshed its thresholds in
+    # place.  Its dense batches run on the very vectorized instance
+    # raced here, so the race below compares routing overhead, not
+    # engine-instance luck.  The unrouted engine keeps the calibrated
+    # per-hook fallbacks, routing disabled.
+    sparse = warm_engine(snn.network, config, "sparse")
+    unrouted = create_engine("sparse", sparse.compiled)
+    unrouted.apply_thresholds(replace(sparse.thresholds,
+                                      route_density=1.0))
+    engines = {"vectorized": sparse._dense,
+               "unrouted": unrouted,
+               "sparse": sparse}
+    fixed = ("vectorized", "unrouted")
 
     # Every ordering of the three engines, cycled across rounds: a
     # fixed or merely rotated order hands some engine a permanently
     # warm predecessor (e.g. vectorized always running right after
-    # auto's vectorized delegate) and biases the race by 5-15% on a
+    # sparse's vectorized delegate) and biases the race by 5-15% on a
     # busy host.  Paired per-round ratios + median (below) then cancel
     # clock drift that spans rounds.
     orders = list(itertools.permutations(engines))
@@ -124,14 +139,16 @@ def run_auto_routing(runner, rng) -> dict:
                    for name in engines}
         return {
             "vectorized_s": seconds["vectorized"],
+            "unrouted_s": seconds["unrouted"],
             "sparse_s": seconds["sparse"],
-            "auto_s": seconds["auto"],
-            "auto_vs_best": float(np.median(
-                [min(row["vectorized"], row["sparse"]) / row["auto"]
+            "sparse_vs_best": float(np.median(
+                [min(row[name] for name in fixed) / row["sparse"]
                  for row in rounds])),
-            "auto_vs_worst": float(np.median(
-                [max(row["vectorized"], row["sparse"]) / row["auto"]
+            "sparse_vs_worst": float(np.median(
+                [max(row[name] for name in fixed) / row["sparse"]
                  for row in rounds])),
+            "sparse_over_vectorized": float(np.median(
+                [row["sparse"] / row["vectorized"] for row in rounds])),
         }
 
     buckets = []
@@ -143,15 +160,18 @@ def run_auto_routing(runner, rng) -> dict:
         # real mis-route keeps failing every attempt), bounded at 3.
         for attempt in range(1, MEASURE_ATTEMPTS + 1):
             stats = measure(images)
-            if stats["auto_vs_best"] >= 0.95 and (
-                    not extreme or stats["auto_vs_worst"] > 1.0):
+            if stats["sparse_vs_best"] >= 0.95 and (
+                    not extreme or stats["sparse_vs_worst"] > 1.0):
                 break
 
+        before = _routed_total("vectorized")
         outputs = {name: engine.run_batch(images)
                    for name, engine in engines.items()}
-        # Bit-identity across all three backends, logits AND traces.
+        routed = ("vectorized" if _routed_total("vectorized") > before
+                  else "sparse")
+        # Bit-identity across all three paths, logits AND traces.
         ref_logits, ref_traces = outputs["vectorized"]
-        for name in ("sparse", "auto"):
+        for name in ("unrouted", "sparse"):
             logits, traces = outputs[name]
             np.testing.assert_array_equal(logits, ref_logits)
             for trace, ref in zip(traces, ref_traces):
@@ -162,21 +182,21 @@ def run_auto_routing(runner, rng) -> dict:
             "target_density": density,
             "input_density": float(np.count_nonzero(images)
                                    / images.size),
-            "routed": engines["auto"].last_backend,
+            "routed": routed,
             "attempts": attempt,
             **stats,
         })
 
-    # The gates: within 5% of the better backend everywhere; strictly
+    # The gates: within 5% of the better path everywhere; strictly
     # ahead of the worse one where the routing choice matters most.
     for bucket in buckets:
-        assert bucket["auto_vs_best"] >= 0.95, (
-            f"auto must be within 5% of the better backend at density "
-            f"{bucket['input_density']:.3f}: {bucket}")
+        assert bucket["sparse_vs_best"] >= 0.95, (
+            f"sparse must be within 5% of the better fixed path at "
+            f"density {bucket['input_density']:.3f}: {bucket}")
     for bucket in (buckets[0], buckets[-1]):
-        assert bucket["auto_vs_worst"] > 1.0, (
-            f"auto must beat the worse backend at the extreme density "
-            f"{bucket['input_density']:.3f}: {bucket}")
+        assert bucket["sparse_vs_worst"] > 1.0, (
+            f"sparse must beat the worse fixed path at the extreme "
+            f"density {bucket['input_density']:.3f}: {bucket}")
 
     return {
         "workload": "LeNet-5, T=3, event blob frames per density bucket",
@@ -265,14 +285,16 @@ def run_saturated_sharding(runner, rng) -> dict:
 
 def _render_routing(results: dict) -> Table:
     table = Table(
-        "backend=auto - density routing vs fixed backends (LeNet-5)",
-        ["density", "routed", "vec s", "sparse s", "auto s", "vs best"])
+        "backend=sparse - batch routing vs fixed paths (LeNet-5)",
+        ["density", "routed", "vec s", "unrouted s", "sparse s",
+         "vs best", "sparse/vec"])
     for bucket in results["buckets"]:
         table.add_row(f"{bucket['input_density']:.3f}", bucket["routed"],
                       f"{bucket['vectorized_s']:.4f}",
+                      f"{bucket['unrouted_s']:.4f}",
                       f"{bucket['sparse_s']:.4f}",
-                      f"{bucket['auto_s']:.4f}",
-                      f"{bucket['auto_vs_best']:.2f}x")
+                      f"{bucket['sparse_vs_best']:.2f}x",
+                      f"{bucket['sparse_over_vectorized']:.2f}")
     return table
 
 
@@ -288,7 +310,7 @@ def _render_sharding(results: dict) -> Table:
 
 
 def test_autotune_report(runner, rng):
-    routing = run_auto_routing(runner, rng)
+    routing = run_sparse_routing(runner, rng)
     print_table(_render_routing(routing))
     skip_unless_multicore(2, "saturated sharding gate")
     sharding = run_saturated_sharding(runner, rng)
@@ -302,7 +324,7 @@ if __name__ == "__main__":
 
     main_runner = ExperimentRunner()
     main_rng = np.random.default_rng(0)
-    routing_results = run_auto_routing(main_runner, main_rng)
+    routing_results = run_sparse_routing(main_runner, main_rng)
     print(_render_routing(routing_results).render())
     payload = {"routing": routing_results}
     if multicore(2):

@@ -15,9 +15,9 @@ tracked across PRs.  Two gates:
   *and* traces at **every** bucket.  The sparse-vs-vectorized race is
   reported per density bucket (~5 levels from near-silent to dense),
   giving the calibration gate in ``bench_autotune.py`` a trajectory to
-  compare its measured crossover against; on dense buckets sparse is
-  allowed to lose (its per-hook density checks fall back to the dense
-  kernels).
+  compare its measured crossover against; on dense buckets sparse only
+  has to stay bit-equal (it runs a batch above its routing crossover on
+  the vectorized kernels).
 """
 
 import time

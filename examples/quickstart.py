@@ -9,10 +9,11 @@ This walks the paper's complete flow in about a minute:
 4. deploy it on the simulated accelerator and run the functional model
    on the selected execution backend — ``reference`` simulates every
    register shift, ``vectorized`` computes the identical integer
-   semantics with whole-batch tensor ops,
+   semantics with whole-batch tensor ops, ``sparse`` skips silent
+   spike planes and runs dense batches on the vectorized kernels,
 5. print the performance report the paper's Table III rows are made of.
 
-Run:  python examples/quickstart.py [--backend reference|vectorized|both]
+Run:  python examples/quickstart.py [--backend reference|vectorized|sparse|both]
 Set ``REPRO_FAST=1`` for a smoke-scale run (CI uses this).
 """
 

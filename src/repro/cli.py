@@ -39,13 +39,13 @@ fixed ``--shard-size``, growing them until lanes spend their time
 computing rather than dispatching.
 
 ``calibrate`` measures a deployment's sparse/dense crossover densities
-(per-layer dense fallback, popcount gather, COO wire encoding, backend
-routing point, fabric dispatch cost) from probe batches and persists the
+(per-layer dense fallback, COO wire encoding, the batch density above
+which ``--backend sparse`` runs a batch on the ``vectorized`` kernels,
+fabric dispatch cost) from probe batches and persists the
 :class:`~repro.core.engine.calibrate.CalibrationTable` in the artifact
 store keyed by the model's content key.  Engines constructed afterwards
-— including ``--backend auto``, which routes each batch to ``sparse`` or
-``vectorized`` by observed density — pick the table up automatically;
-``--force`` re-measures an existing table.
+pick the table up automatically; ``--force`` re-measures an existing
+table.
 
 ``worker`` turns this host into a TCP engine worker, two ways:
 ``--listen host:port`` accepts drivers (sweeps or serving pools on
@@ -168,11 +168,9 @@ def _run_calibrate(runner: ExperimentRunner, args) -> None:
     for label in sorted(table.hook_crossovers):
         print(f"  {label:<24} dense fallback at "
               f"{table.hook_crossovers[label]:.3f} active")
-    print(f"  {'popcount gather':<24} dense pass above "
-          f"{table.popcount_gather:.3f} nonzero")
     print(f"  {'codec COO':<24} raw buffers above "
           f"{table.coo_ratio:.3f} of raw bytes")
-    print(f"  {'backend routing':<24} auto picks sparse at <= "
+    print(f"  {'batch routing':<24} sparse runs vectorized above "
           f"{table.backend_crossover:.3f} input density")
     if table.dispatch_cost_s is not None:
         print(f"  {'fabric dispatch':<24} "
@@ -735,8 +733,8 @@ def main(argv: list[str] | None = None) -> int:
     # the vectorized engine (full test sets are intractable on the
     # reference model) — except for the fabric commands (sweep, serve,
     # loadgen), where the flag explicitly names the lane engine: every
-    # backend is bit-identical, so `--backend sparse` or `--backend
-    # auto` only changes speed, never a score or a served prediction.
+    # backend is bit-identical, so `--backend sparse` only changes
+    # speed, never a score or a served prediction.
     score_backend = "vectorized"
     if args.backend and args.experiment in ("sweep", "serve", "loadgen"):
         score_backend = args.backend

@@ -8,10 +8,9 @@ Importing this package registers the built-in backends:
   batched numpy tensor ops with identical integer semantics and traces;
 * ``sparse`` — :class:`~repro.core.engine.sparse.SparseEngine`,
   the vectorized semantics restricted to active spike planes: all-zero
-  images/patches/taps are skipped, bits and traces unchanged;
-* ``auto`` — :class:`~repro.core.engine.auto.AutoEngine`, which routes
-  each batch to ``sparse`` or ``vectorized`` by its observed density
-  using the deployment's calibrated crossover.
+  images/patches/taps are skipped, bits and traces unchanged; a batch
+  denser than the deployment's calibrated crossover runs on the
+  ``vectorized`` kernels instead (:mod:`repro.core.engine.auto`).
 
 Select one with ``Accelerator(config, backend="vectorized")`` or
 ``create_engine("vectorized", compiled)``.  ``repro calibrate`` (or
@@ -20,7 +19,6 @@ sparse/dense crossovers per deployment and persists them; engines pick
 installed tables up automatically at construction.
 """
 
-from repro.core.engine.auto import AutoEngine
 from repro.core.engine.base import (
     ExecutionEngine,
     available_backends,
@@ -52,7 +50,6 @@ from repro.core.engine.trace import (BatchTrace, ExecutionTrace, LayerTrace,
 from repro.core.engine.vectorized import VectorizedEngine
 
 __all__ = [
-    "AutoEngine",
     "BatchTrace",
     "CalibrationTable",
     "EngineThresholds",

@@ -1,13 +1,13 @@
 """Measured sparsity crossovers: calibrate, persist, route.
 
-The sparse engine's speed hinges on three guesses: the per-hook density
-above which gather/scatter loses to the dense kernel
-(``DENSE_FALLBACK_DENSITY``), the density below which the popcount
-gather beats a dense bit-count pass, and the byte ratio below which COO
-wire frames beat raw buffers.  All three crossovers depend on the
-*deployed model* (layer geometry, kernel sizes, batch shapes) and on the
-host — not on anything a constant can know.  This module makes them
-measured:
+The sparse engine's speed hinges on three guesses: the batch density
+above which a whole batch runs faster on the dense kernels
+(``DEFAULT_ROUTE_DENSITY``), the per-hook density above which
+gather/scatter loses to the dense kernel (``DEFAULT_DENSE_FALLBACK``),
+and the byte ratio below which COO wire frames beat raw buffers.  All
+three crossovers depend on the *deployed model* (layer geometry, kernel
+sizes, batch shapes) and on the host — not on anything a constant can
+know.  This module makes them measured:
 
 * :func:`calibrate_deployment` runs a few probe batches per layer/hook
   through the sparse and dense code paths, times both, and fits the
@@ -16,11 +16,11 @@ measured:
   :func:`~repro.core.engine.cache.content_key`, so the table travels
   with the compiled model it describes.
 * :func:`thresholds_for` is the engine-side lookup:
-  :class:`~repro.core.engine.sparse.SparseEngine` and the ``auto``
-  router consult it at construction time, falling back to the
-  historical constants when no table exists.  Thresholds only move
-  *where* each hook switches strategy — both strategies return the
-  exact same integers, so calibration can never change a bit.
+  :class:`~repro.core.engine.sparse.SparseEngine` consults it at
+  construction time, falling back to the historical constants when no
+  table exists.  Thresholds only move *where* a batch or a hook
+  switches strategy — both strategies return the exact same integers,
+  so calibration can never change a bit.
 * :func:`install_table` also wires the measured COO byte ratio into
   :mod:`repro.runtime.codec` (unless pinned by ``REPRO_COO_RATIO``).
 
@@ -51,7 +51,6 @@ __all__ = [
     "DEFAULT_COO_RATIO",
     "DEFAULT_DENSE_FALLBACK",
     "DEFAULT_DISPATCH_COST_S",
-    "DEFAULT_POPCOUNT_GATHER",
     "DEFAULT_ROUTE_DENSITY",
     "EngineThresholds",
     "calibrate_deployment",
@@ -68,10 +67,7 @@ __all__ = [
 #: The historical constants — what every engine uses when no table
 #: exists.  Calibration replaces them with measurements, per deployment.
 DEFAULT_DENSE_FALLBACK = 0.85     # per-hook gather -> dense crossover
-#: The dense bit-count popcount beats the nonzero gather at every probed
-#: LeNet-5 density, so uncalibrated, only an all-zero tensor gathers.
-DEFAULT_POPCOUNT_GATHER = 0.0     # nonzero-gather popcount crossover
-DEFAULT_ROUTE_DENSITY = 0.25      # auto: batches denser go vectorized
+DEFAULT_ROUTE_DENSITY = 0.25      # sparse: batches denser go vectorized
 DEFAULT_COO_RATIO = 0.9           # codec: COO wins below this byte ratio
 
 
@@ -97,7 +93,7 @@ class CalibrationTable:
 
     Densities are nonzero fractions in the metric each runtime gate
     tests: im2col patch-row activity for conv hooks, active-tap fraction
-    for linear hooks, element density for popcounts and batch routing.
+    for linear hooks, element density for batch routing.
     ``probes`` keeps the raw (density, sparse_s, dense_s) points for the
     record; nothing reads them back.
     """
@@ -105,23 +101,17 @@ class CalibrationTable:
     content_key: str
     backend_crossover: float = DEFAULT_ROUTE_DENSITY
     hook_crossovers: dict = field(default_factory=dict)  # "layer:kind" ->
-    popcount_gather: float = DEFAULT_POPCOUNT_GATHER
     coo_ratio: float = DEFAULT_COO_RATIO
     dispatch_cost_s: float | None = None
     probe_images: int = 0
     densities: tuple = ()
     probes: dict = field(default_factory=dict)
 
-    def fallback_for(self, name: str, kind: str,
-                     default: float = DEFAULT_DENSE_FALLBACK) -> float:
-        return float(self.hook_crossovers.get(f"{name}:{kind}", default))
-
     def to_dict(self) -> dict:
         return {
             "content_key": self.content_key,
             "backend_crossover": self.backend_crossover,
             "hook_crossovers": dict(self.hook_crossovers),
-            "popcount_gather": self.popcount_gather,
             "coo_ratio": self.coo_ratio,
             "dispatch_cost_s": self.dispatch_cost_s,
             "probe_images": self.probe_images,
@@ -131,12 +121,13 @@ class CalibrationTable:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CalibrationTable":
+        """Load a stored table; keys no longer measured (an older
+        table's popcount crossover) are ignored."""
         return cls(
             content_key=payload["content_key"],
             backend_crossover=float(payload["backend_crossover"]),
             hook_crossovers={k: float(v) for k, v in
                              payload.get("hook_crossovers", {}).items()},
-            popcount_gather=float(payload["popcount_gather"]),
             coo_ratio=float(payload["coo_ratio"]),
             dispatch_cost_s=(None if payload.get("dispatch_cost_s") is None
                              else float(payload["dispatch_cost_s"])),
@@ -151,7 +142,6 @@ class EngineThresholds:
     """What an engine instance actually consults — table or defaults."""
 
     dense_fallback: float = DEFAULT_DENSE_FALLBACK
-    popcount_gather: float = DEFAULT_POPCOUNT_GATHER
     route_density: float = DEFAULT_ROUTE_DENSITY
     by_layer: dict = field(default_factory=dict)  # "layer:kind" -> density
     calibrated: bool = False
@@ -269,7 +259,6 @@ def thresholds_for(compiled, calibration: LatencyCalibration = DEFAULT_LATENCY,
 def _table_thresholds(table: CalibrationTable) -> EngineThresholds:
     return EngineThresholds(
         dense_fallback=DEFAULT_DENSE_FALLBACK,
-        popcount_gather=table.popcount_gather,
         route_density=table.backend_crossover,
         by_layer=dict(table.hook_crossovers),
         calibrated=True,
@@ -302,7 +291,7 @@ def probe_batch(shape, density: float, batch: int,
     fully silent, mirroring address-event streams between events — it
     defaults to :func:`event_silent_frac` of the target density.  The
     realized density is ``count_nonzero / size`` — the same metric the
-    runtime gates and the auto router measure.
+    runtime gates and the sparse engine's batch router measure.
     """
     shape = tuple(shape)
     h, w = shape[-2], shape[-1]
@@ -380,7 +369,6 @@ class _CaptureEngine(VectorizedEngine):
     def __init__(self, compiled, calibration) -> None:
         super().__init__(compiled, calibration)
         self.records: list[tuple[str, object, np.ndarray]] = []
-        self.pop_records: list[tuple] = []
 
     def _conv_acc(self, program, x):
         self.records.append(("conv", program, x))
@@ -390,10 +378,6 @@ class _CaptureEngine(VectorizedEngine):
         self.records.append(("linear", program, x))
         return super()._linear_acc(program, x)
 
-    def _popcount_sum(self, x, t, weights=None, axis=None):
-        self.pop_records.append((x, t, weights, axis))
-        return super()._popcount_sum(x, t, weights, axis)
-
 
 def _forced_sparse(compiled, calibration):
     """A SparseEngine that never falls back (crossovers pinned to 1.0)."""
@@ -401,7 +385,7 @@ def _forced_sparse(compiled, calibration):
 
     engine = SparseEngine(compiled, calibration)
     engine.apply_thresholds(EngineThresholds(
-        dense_fallback=1.0, popcount_gather=1.0, by_layer={}))
+        dense_fallback=1.0, route_density=1.0, by_layer={}))
     return engine
 
 
@@ -425,12 +409,11 @@ def _linear_tap_density(x: np.ndarray) -> float | None:
 
 
 def _probe_hooks(compiled, calibration, batches: dict, rounds: int,
-                 ) -> tuple[dict, float, dict]:
-    """Per-layer (and popcount) crossovers from timed hook probes."""
+                 ) -> tuple[dict, dict]:
+    """Per-layer crossovers from timed hook probes."""
     dense = VectorizedEngine(compiled, calibration)
     forced = _forced_sparse(compiled, calibration)
     layer_points: dict[str, list] = {}
-    pop_points: list = []
     for images in batches.values():
         capture = _CaptureEngine(compiled, calibration)
         capture.run_batch(images)
@@ -450,41 +433,27 @@ def _probe_hooks(compiled, calibration, batches: dict, rounds: int,
                 metric,
                 _best_time(lambda: sparse_fn(program, x), rounds),
                 _best_time(lambda: dense_fn(program, x), rounds)))
-        for x, t, weights, axis in capture.pop_records:
-            flat = x.reshape(x.shape[0], -1)
-            if not flat.size:
-                continue
-            metric = float(np.count_nonzero(flat) / flat.size)
-            pop_points.append((
-                metric,
-                _best_time(
-                    lambda: forced._popcount_sum(x, t, weights, axis),
-                    rounds),
-                _best_time(
-                    lambda: VectorizedEngine._popcount_sum(
-                        dense, x, t, weights, axis),
-                    rounds)))
     hook_crossovers = {label: round(_crossover(points), 4)
                        for label, points in layer_points.items()}
-    popcount = round(_crossover(pop_points), 4)
-    raw = {
-        "hooks": {label: [[round(d, 4), s, t] for d, s, t in points]
-                  for label, points in layer_points.items()},
-        "popcount": [[round(d, 4), s, t] for d, s, t in pop_points],
-    }
-    return hook_crossovers, popcount, raw
+    raw = {"hooks": {label: [[round(d, 4), s, t] for d, s, t in points]
+                     for label, points in layer_points.items()}}
+    return hook_crossovers, raw
 
 
 def _probe_backends(compiled, calibration, batches: dict, rounds: int,
-                    hook_crossovers: dict, popcount: float,
-                    ) -> tuple[float, list]:
-    """End-to-end crossover: calibrated sparse vs dense, per density."""
+                    hook_crossovers: dict) -> tuple[float, list]:
+    """End-to-end crossover: calibrated sparse hooks vs dense, per density.
+
+    The sparse engine is timed with batch routing off (``route_density``
+    1.0): routing is what this probe calibrates, and left on it would
+    time dense probes on the vectorized engine against itself.
+    """
     from repro.core.engine.sparse import SparseEngine
 
     dense = VectorizedEngine(compiled, calibration)
     sparse = SparseEngine(compiled, calibration)
     sparse.apply_thresholds(EngineThresholds(
-        popcount_gather=popcount, by_layer=dict(hook_crossovers),
+        route_density=1.0, by_layer=dict(hook_crossovers),
         calibrated=True))
     points = []
     for images in batches.values():
@@ -637,10 +606,10 @@ def calibrate_deployment(
     batches = {d: probe_batch(network.input_shape, d, batch, rng)
                for d in densities}
 
-    hook_crossovers, popcount, raw = _probe_hooks(
+    hook_crossovers, raw = _probe_hooks(
         compiled, calibration, batches, rounds)
     backend_crossover, backend_points = _probe_backends(
-        compiled, calibration, batches, rounds, hook_crossovers, popcount)
+        compiled, calibration, batches, rounds, hook_crossovers)
     coo_ratio, codec_points = _probe_codec(batches, rounds)
     dispatch = (measure_dispatch_cost(network, config, calibration)
                 if measure_dispatch else None)
@@ -649,7 +618,6 @@ def calibrate_deployment(
         content_key=key,
         backend_crossover=round(backend_crossover, 4),
         hook_crossovers=hook_crossovers,
-        popcount_gather=popcount,
         coo_ratio=round(coo_ratio, 4),
         dispatch_cost_s=dispatch,
         probe_images=batch,

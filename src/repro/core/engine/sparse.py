@@ -6,15 +6,13 @@ integer tensor, and whole receptive-field patches — often whole images
 mid-sweep — carry no spikes at all.  The dense GEMMs in the vectorized
 engine multiply all of those zeros anyway.  This backend subclasses
 :class:`~repro.core.engine.vectorized.VectorizedEngine` and overrides
-only its four compute hooks to gather the *active* work:
+three of its compute hooks to gather the *active* work:
 
 * images whose activation tensor is entirely zero skip the layer's
   arithmetic outright (their outputs are exact zeros);
 * convolutions run an im2col-GEMM over only the patch rows with at
   least one spike, and only the kernel columns some patch touches;
-* linear layers drop all-zero input columns before the matmul;
-* adder-operation popcounts are computed over the nonzero entries only
-  (``np.nonzero`` + ``np.bincount``) instead of a full-tensor pass.
+* linear layers drop all-zero input columns before the matmul.
 
 Why this is bit-exact rather than merely close: every GEMM goes through
 the layer's cached :class:`~repro.core.gemm.GemmWeights`, the same
@@ -31,15 +29,19 @@ the data-dependent adder counters count exactly the same spikes — so
 traces are identical by construction.  The equivalence suite pins both
 claims against the reference engine.
 
-When a layer's activations are actually dense the gather bookkeeping
-is pure overhead, so each hook falls back to the parent's dense kernel
-above a density threshold.  The thresholds are *calibrated*: when a
+Dense data makes the gather bookkeeping pure overhead, so two density
+checks hand it back to the dense kernels.  Per batch, a batch whose
+nonzero fraction is above the deployment's routing crossover runs on a
+``vectorized`` engine over the same compiled model
+(:mod:`repro.core.engine.auto`).  Per hook, a layer whose active
+rows/columns are above its own crossover runs the parent's dense
+kernel.  Both are *calibrated*: when a
 :class:`~repro.core.engine.calibrate.CalibrationTable` is installed for
-this deployment, each layer gets its own measured crossover (and the
-popcount gather its own); otherwise the default constants apply
-(:data:`DENSE_FALLBACK_DENSITY`; the popcount gather only for an
-all-zero tensor).  Thresholds only choose *which* exact kernel runs, so
-calibration can never change an output bit.
+this deployment its measured crossovers apply; otherwise the defaults
+:data:`~repro.core.engine.calibrate.DEFAULT_ROUTE_DENSITY` and
+:data:`~repro.core.engine.calibrate.DEFAULT_DENSE_FALLBACK` do.
+Thresholds only choose *which* exact kernel runs, so calibration can
+never change an output bit.
 """
 
 from __future__ import annotations
@@ -47,17 +49,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.calibration import DEFAULT_LATENCY
+from repro.core.engine.auto import routes_dense
 from repro.core.engine.base import register_engine
 from repro.core.engine.calibrate import EngineThresholds, thresholds_for
-from repro.core.engine.vectorized import VectorizedEngine, _popcount
+from repro.core.engine.trace import BatchTrace
+from repro.core.engine.vectorized import VectorizedEngine
 from repro.nn import functional as F
 
-__all__ = ["SparseEngine", "DENSE_FALLBACK_DENSITY"]
-
-#: The uncalibrated default: above this fraction of active rows/columns,
-#: gather/scatter loses to the dense GEMM and the hooks defer to the
-#: parent implementation.  A calibration table overrides it per layer.
-DENSE_FALLBACK_DENSITY = 0.85
+__all__ = ["SparseEngine"]
 
 
 @register_engine
@@ -68,12 +67,14 @@ class SparseEngine(VectorizedEngine):
 
     def __init__(self, compiled, calibration=DEFAULT_LATENCY) -> None:
         super().__init__(compiled, calibration)
+        # Where dense batches run.  It shares this engine's compiled
+        # model, so its GEMM weights are the ones the hooks use.
+        self._dense = VectorizedEngine(compiled, calibration)
         self.apply_thresholds(thresholds_for(compiled, calibration))
 
     def apply_thresholds(self, thresholds: EngineThresholds) -> None:
         """Adopt (re-)calibrated crossovers; outputs are unaffected."""
         self.thresholds = thresholds
-        self._popcount_gather = thresholds.popcount_gather
         self._fallback_default = thresholds.dense_fallback
         self._fallback_by_spec = {
             id(program.spec): thresholds.for_layer(program.name,
@@ -85,6 +86,14 @@ class SparseEngine(VectorizedEngine):
     def _fallback_for(self, spec) -> float:
         return self._fallback_by_spec.get(id(spec),
                                           self._fallback_default)
+
+    def _run_batch_trace(
+        self, images: np.ndarray
+    ) -> tuple[np.ndarray, BatchTrace]:
+        images = self._check_batch(images)
+        if routes_dense(images, self.thresholds.route_density):
+            return self._dense._run_batch_trace(images)
+        return super()._run_batch_trace(images)
 
     # -- compute hooks -------------------------------------------------
     def _conv_acc(self, program, x: np.ndarray) -> np.ndarray:
@@ -148,28 +157,3 @@ class SparseEngine(VectorizedEngine):
         acc = np.zeros((n, spec.out_features), dtype=np.int64)
         acc[live] = out
         return acc
-
-    def _popcount_sum(self, x: np.ndarray, t: int,
-                      weights: np.ndarray | None = None,
-                      axis: int | None = None) -> np.ndarray:
-        n = x.shape[0]
-        flat = x.reshape(n, -1)
-        # The gather (nonzero + fancy indexing) costs more than the
-        # dense bit-count pass it saves, so it wins only while most
-        # entries are zero.  The crossover is calibrated.
-        if np.count_nonzero(flat) > flat.size * self._popcount_gather:
-            return super()._popcount_sum(x, t, weights, axis)
-        idx_n, idx_f = np.nonzero(flat)
-        if idx_n.size == 0:
-            return np.zeros(n, dtype=np.int64)
-        pops = _popcount(flat[idx_n, idx_f])
-        if weights is not None:
-            inner = 1
-            for extent in x.shape[axis + 1:]:
-                inner *= extent
-            coord = (idx_f // inner) % x.shape[axis]
-            pops = pops * weights[coord]
-        # bincount's float64 accumulation is exact here: the weighted
-        # popcounts are integers and their sums stay far below 2**53.
-        return np.bincount(idx_n, weights=pops,
-                           minlength=n).astype(np.int64)

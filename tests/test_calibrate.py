@@ -69,11 +69,27 @@ class TestCalibrationTable:
         table = CalibrationTable(
             content_key="abc123", backend_crossover=0.31,
             hook_crossovers={"conv1:conv": 0.7, "fc1:linear": 0.4},
-            popcount_gather=0.45, coo_ratio=0.8, dispatch_cost_s=1.5e-3,
+            coo_ratio=0.8, dispatch_cost_s=1.5e-3,
             probe_images=8, densities=(0.02, 0.5),
             probes={"backend": [[0.02, 1.0, 2.0]]})
         restored = CalibrationTable.from_dict(table.to_dict())
         assert restored == table
+
+    def test_loads_a_stored_table_with_a_popcount_crossover(self):
+        """Tables written before the popcount gather was removed still
+        carry its crossover; they load, and the key is dropped."""
+        stored = {
+            "content_key": "abc123", "backend_crossover": 0.31,
+            "hook_crossovers": {"conv1:conv": 0.7},
+            "popcount_gather": 0.0099, "coo_ratio": 0.8,
+            "dispatch_cost_s": None, "probe_images": 16,
+            "densities": [0.02, 0.5],
+            "probes": {"hooks": {}, "popcount": [[0.02, 1.0, 2.0]]}}
+        table = CalibrationTable.from_dict(stored)
+        assert table.backend_crossover == 0.31
+        assert table.hook_crossovers == {"conv1:conv": 0.7}
+        assert table.coo_ratio == 0.8
+        assert "popcount_gather" not in table.to_dict()
 
     def test_crossover_fit_edges(self):
         # Sparse wins everywhere: never fall back.
@@ -93,11 +109,12 @@ class TestCalibrationTable:
         silent = probe_batch((1, 16, 16), 0.1, 32, rng, silent_frac=1.0)
         assert not silent.any()
 
-    def test_fallback_for_named_layer(self):
-        table = CalibrationTable(content_key="k",
-                                 hook_crossovers={"conv1:conv": 0.6})
-        assert table.fallback_for("conv1", "conv") == 0.6
-        assert table.fallback_for("fc9", "linear") == \
+    def test_for_layer_reads_named_layer(self):
+        thresholds = EngineThresholds(by_layer={"conv1:conv": 0.6})
+        assert thresholds.for_layer("conv1", "conv") == 0.6
+        assert thresholds.for_layer("conv1", "linear") == \
+            DEFAULT_DENSE_FALLBACK
+        assert thresholds.for_layer("fc9", "linear") == \
             DEFAULT_DENSE_FALLBACK
 
 
@@ -115,7 +132,6 @@ class TestCalibrateDeployment:
         assert table.content_key == key
         assert store.has_result(calibration_store_key(key))
         assert 0.0 <= table.backend_crossover <= 1.0
-        assert 0.0 <= table.popcount_gather <= 1.0
         assert 0.1 <= table.coo_ratio <= 1.0
         for label, crossover in table.hook_crossovers.items():
             assert 0.0 <= crossover <= 1.0, label
@@ -155,6 +171,7 @@ class TestThresholdsOnlyMoveStrategy:
     """Extreme thresholds in both directions cannot change a bit."""
 
     def test_sparse_bit_identical_under_extreme_thresholds(self, rng):
+        """Batch routing is off, so every batch reaches the hooks."""
         net = tiny_network(rng)
         compiled = warm_compile(net, AcceleratorConfig.for_network(net))
         shape = tuple(net.input_shape)
@@ -164,8 +181,7 @@ class TestThresholdsOnlyMoveStrategy:
         sparse = SparseEngine(compiled)
         for extreme in (0.0, 1.0):
             sparse.apply_thresholds(EngineThresholds(
-                dense_fallback=extreme, popcount_gather=extreme,
-                by_layer={}))
+                dense_fallback=extreme, route_density=1.0, by_layer={}))
             for images in batches:
                 want_logits, want_traces = dense.run_batch(images)
                 got_logits, got_traces = sparse.run_batch(images)
@@ -182,12 +198,12 @@ class TestThresholdsOnlyMoveStrategy:
                        if p.kind in ("conv", "linear")]
         table = CalibrationTable(
             content_key=content_key(net, config, DEFAULT_LATENCY),
-            backend_crossover=0.42, popcount_gather=0.33,
+            backend_crossover=0.42,
             hook_crossovers={f"{layer_names[0]}:conv": 0.11})
         install_table(table)
         engine = SparseEngine(compiled)
         assert engine.thresholds.calibrated
-        assert engine._popcount_gather == 0.33
+        assert engine.thresholds.route_density == 0.42
         conv_spec = next(p.spec for p in compiled.programs
                          if p.kind == "conv")
         linear_spec = next(p.spec for p in compiled.programs

@@ -4,21 +4,47 @@ The sparse engine earns its speed by *not* computing silent spike
 planes — all-zero images, patches no spike touches, dead input taps.
 Each skip is a claim that the skipped work contributes exactly zero,
 and each has an edge where the claim could quietly break (empty live
-masks, dense fallbacks, single-survivor gathers).  Every test here
-builds a batch that exercises one such edge and asserts bit-identical
-logits and fully identical traces across ``reference``, ``vectorized``
-and ``sparse``.
+masks, dense fallbacks, single-survivor gathers).  Every edge-case test
+here builds a batch that exercises one such edge and asserts
+bit-identical logits and fully identical traces across ``reference``,
+``vectorized`` and ``sparse`` — the last with batch routing pinned off,
+so dense and random batches reach the hooks instead of the vectorized
+engine.
+
+The routing tests pin the batch router itself: it routes exactly at the
+calibrated crossover (sparse hooks at/below, vectorized above), every
+decision lands on ``engine_auto_routed_total{backend=...}``, and a
+mixed-density stream over a thread+process+remote lane mix merges
+bit-identically to a serial ``vectorized`` run.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import Accelerator, AcceleratorConfig
-from repro.core.engine.sparse import DENSE_FALLBACK_DENSITY, SparseEngine
+from repro.core.calibration import DEFAULT_LATENCY
+from repro.core.engine import (
+    CalibrationTable,
+    available_backends,
+    clear_calibration_tables,
+    create_engine,
+    install_table,
+    warm_compile,
+)
+from repro.core.engine.cache import content_key
+from repro.core.engine.calibrate import DEFAULT_DENSE_FALLBACK, probe_batch
+from repro.core.engine.sparse import SparseEngine
+from repro.errors import ConfigurationError, ShapeError
 from repro.models import performance_network
+from repro.runtime import Deployment, WorkItem, WorkerGroup, WorkerServer
+from repro.runtime import create_workers
 from repro.snn import SNNModel
+from repro.telemetry import get_registry
 
-BACKENDS = ("reference", "vectorized", "sparse")
+from engine_helpers import UnroutedSparse
+
+
+BACKENDS = ("reference", "vectorized", UnroutedSparse)
 
 TRAFFIC_FIELDS = ("activation_read_bits", "activation_write_bits",
                   "kernel_read_values", "weight_stream_bits")
@@ -33,7 +59,7 @@ def _assert_all_equal(net, images, num_conv_units=2):
     for backend in BACKENDS:
         accelerator = Accelerator(config, backend=backend)
         accelerator.deploy(snn)
-        outputs[backend] = accelerator.run_logits(images)
+        outputs[accelerator.backend] = accelerator.run_logits(images)
     ref_logits, ref_traces = outputs["reference"]
     for backend in ("vectorized", "sparse"):
         logits, traces = outputs[backend]
@@ -81,7 +107,7 @@ class TestSparsityEdgeCases:
         """Saturated inputs: the dense-fallback branch must stay exact."""
         net = _net(int(rng.integers(1 << 16)))
         images = np.clip(rng.random((2,) + net.input_shape), 0.5, None)
-        assert images.astype(bool).mean() > DENSE_FALLBACK_DENSITY
+        assert images.astype(bool).mean() > DEFAULT_DENSE_FALLBACK
         _assert_all_equal(net, images)
 
     def test_single_active_pixel(self, rng):
@@ -138,21 +164,115 @@ class TestSparsityEdgeCases:
         assert accelerator.backend == "sparse"
 
 
-class TestSparseIsFasterOnSparseInput:
-    def test_less_popcount_work_same_answer(self, rng):
-        """Sanity: the sparse popcount path equals the dense one on a
-        pathological mix of zero and saturated entries."""
-        from repro.core import compile_network, create_engine
+def _routed_total(backend: str) -> float:
+    return get_registry().counter(
+        "engine_auto_routed_total",
+        labelnames=("backend",)).labels(backend=backend).value
+
+
+@pytest.fixture
+def isolated_tables():
+    clear_calibration_tables()
+    yield
+    clear_calibration_tables()
+
+
+@pytest.mark.usefixtures("isolated_tables")
+class TestBatchRouting:
+    def test_three_backends_and_no_auto(self, rng):
+        assert available_backends() == ("reference", "sparse", "vectorized")
         net = _net(int(rng.integers(1 << 16)))
-        compiled = compile_network(net, AcceleratorConfig.for_network(net))
+        compiled = warm_compile(net, AcceleratorConfig.for_network(net))
+        with pytest.raises(ConfigurationError,
+                           match="reference, sparse, vectorized"):
+            create_engine("auto", compiled)
+
+    def test_routes_at_the_calibrated_crossover(self, rng):
+        net = _net(int(rng.integers(1 << 16)), num_steps=3)
+        config = AcceleratorConfig.for_network(net)
+        install_table(CalibrationTable(
+            content_key=content_key(net, config, DEFAULT_LATENCY),
+            backend_crossover=0.5))
+        compiled = warm_compile(net, config)
+        engine = create_engine("sparse", compiled)
         dense = create_engine("vectorized", compiled)
-        sparse = create_engine("sparse", compiled)
-        x = rng.integers(0, 16, size=(4, 2, 5, 7)).astype(np.int64)
-        x[x < 12] = 0
-        weights = rng.integers(1, 4, size=7).astype(np.int64)
-        np.testing.assert_array_equal(
-            dense._popcount_sum(x, 4, weights, axis=3),
-            sparse._popcount_sum(x, 4, weights, axis=3))
-        np.testing.assert_array_equal(
-            dense._popcount_sum(x.reshape(4, -1), 4),
-            sparse._popcount_sum(x.reshape(4, -1), 4))
+        assert engine.thresholds.route_density == 0.5
+        shape = tuple(net.input_shape)
+        quiet = probe_batch(shape, 0.05, 4, rng)
+        # Above the uncalibrated 0.25, at or below the calibrated 0.5.
+        middle = probe_batch(shape, 0.35, 4, rng)
+        assert 0.25 < np.count_nonzero(middle) / middle.size <= 0.5
+        loud = probe_batch(shape, 0.9, 4, rng)
+
+        sparse_before = _routed_total("sparse")
+        vec_before = _routed_total("vectorized")
+        results = [(engine.run_batch(images), dense.run_batch(images))
+                   for images in (quiet, middle, loud)]
+        assert _routed_total("sparse") == sparse_before + 2
+        assert _routed_total("vectorized") == vec_before + 1
+        for (logits, traces), (want_logits, want_traces) in results:
+            np.testing.assert_array_equal(logits, want_logits)
+            assert traces == want_traces
+        # run_merged routes through the same check.
+        engine.run_merged(loud)
+        assert _routed_total("vectorized") == vec_before + 2
+
+    def test_pinned_engine_never_routes(self, rng):
+        net = _net(int(rng.integers(1 << 16)))
+        engine = UnroutedSparse(
+            warm_compile(net, AcceleratorConfig.for_network(net)))
+        dense = np.clip(rng.random((3,) + net.input_shape), 0.5, None)
+        sparse_before = _routed_total("sparse")
+        vec_before = _routed_total("vectorized")
+        engine.run_batch(dense)
+        engine.run_merged(dense)
+        assert _routed_total("vectorized") == vec_before
+        assert _routed_total("sparse") == sparse_before + 2
+
+    def test_all_zero_batch_and_check_batch(self, rng):
+        net = _net(int(rng.integers(1 << 16)), num_steps=3)
+        compiled = warm_compile(net, AcceleratorConfig.for_network(net))
+        engine = create_engine("sparse", compiled)
+        silent = np.zeros((2,) + tuple(net.input_shape))
+        vec_before = _routed_total("vectorized")
+        logits, traces = engine.run_batch(silent)
+        assert _routed_total("vectorized") == vec_before
+        want_logits, want_traces = create_engine(
+            "vectorized", compiled).run_batch(silent)
+        np.testing.assert_array_equal(logits, want_logits)
+        assert traces == want_traces
+        with pytest.raises(ShapeError):
+            engine.run_batch(np.zeros((0,) + tuple(net.input_shape)))
+        with pytest.raises(ShapeError):
+            engine.run_merged(np.zeros((2, 3, 3)))
+
+    def test_mixed_density_stream_merges_bit_identically(self, rng):
+        """Routed sparse on a thread+process+remote mix == serial
+        vectorized, logits and merged traces alike."""
+        net = _net(int(rng.integers(1 << 16)), num_steps=3)
+        config = AcceleratorConfig.for_network(net)
+        shape = tuple(net.input_shape)
+        # A mixed-density stream: silent, quiet event frames, and dense
+        # batches interleaved, so the router goes both ways mid-run.
+        batches = [probe_batch(shape, d, 3, rng, silent_frac=s)
+                   for d, s in ((0.02, 0.5), (0.9, 0.0), (0.05, 1.0),
+                                (0.5, 0.0), (0.1, 0.2), (0.8, 0.0))]
+        items = [WorkItem(item_id=i, deployment=0, images=images)
+                 for i, images in enumerate(batches)]
+
+        def run(backend, workers):
+            deployment = Deployment(network=net, config=config,
+                                    backend=backend)
+            with WorkerGroup(workers, deployments=[deployment]) as group:
+                return group.run(items)
+
+        baseline = run("vectorized", create_workers(["thread"]))
+        server = WorkerServer().start()
+        try:
+            mixed = run("sparse", create_workers(
+                ["thread", "process", f"127.0.0.1:{server.port}"]))
+        finally:
+            server.close()
+        for base, other in zip(baseline, mixed):
+            np.testing.assert_array_equal(base.logits, other.logits)
+            assert base.merged_trace() == other.merged_trace()
