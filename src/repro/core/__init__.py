@@ -50,7 +50,6 @@ from repro.core.engine import (
     warm_compile,
     warm_engine,
 )
-from repro.core.dram import DramModel, DramTransfer
 from repro.core.energy import EnergyBreakdown, EnergyConstants, trace_energy
 from repro.core.isa import (
     Instruction,
@@ -65,9 +64,7 @@ from repro.core.latency import (
     LayerLatency,
     channels_per_pass,
     conv_group_count,
-    conv_layer_cycles,
-    linear_layer_cycles,
-    pool_layer_cycles,
+    layer_charges,
 )
 from repro.core.linear_unit import LinearUnit
 from repro.core.output_logic import OutputAccumulator
@@ -93,8 +90,6 @@ __all__ = [
     "DEFAULT_LATENCY",
     "DEFAULT_POWER",
     "DEFAULT_RESOURCES",
-    "DramModel",
-    "DramTransfer",
     "EnergyBreakdown",
     "EnergyConstants",
     "ExecutionEngine",
@@ -134,13 +129,11 @@ __all__ = [
     "create_engine",
     "engine_cache_stats",
     "conv_group_count",
-    "conv_layer_cycles",
     "decode",
     "disassemble",
     "encode",
-    "linear_layer_cycles",
+    "layer_charges",
     "plan_bram",
-    "pool_layer_cycles",
     "register_engine",
     "trace_energy",
     "warm_compile",

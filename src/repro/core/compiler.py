@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from repro.core.bram import BramPlan, plan_bram
 from repro.core.config import AcceleratorConfig
 from repro.core.gemm import GemmWeights
-from repro.core.latency import channels_per_pass
+from repro.core.latency import channels_per_pass, layer_names
 from repro.errors import CompilationError
 from repro.snn.spec import QuantizedNetwork
 
@@ -105,43 +105,40 @@ def compile_network(
         weight_bytes <= config.memory.onchip_weight_capacity)
 
     programs: list[LayerProgram] = []
-    conv_idx = pool_idx = fc_idx = 0
-    for i, spec in enumerate(network.layers):
+    for i, (spec, name) in enumerate(zip(network.layers,
+                                         layer_names(network))):
         if spec.kind == "conv":
-            conv_idx += 1
             kr, kc = spec.kernel_size
             if kr > config.conv_unit.rows:
                 raise CompilationError(
-                    f"conv{conv_idx}: kernel of {kr} rows exceeds the "
+                    f"{name}: kernel of {kr} rows exceeds the "
                     f"unit's {config.conv_unit.rows} adder rows"
                 )
             schedule = _schedule_conv(spec, config)
             programs.append(LayerProgram(
-                index=i, name=f"conv{conv_idx}", kind="conv", spec=spec,
+                index=i, name=name, kind="conv", spec=spec,
                 conv_schedule=schedule, weights_on_chip=weights_on_chip,
                 gemm=GemmWeights(spec.weights, network.num_steps)))
         elif spec.kind == "pool":
-            pool_idx += 1
             if spec.size > config.pool_unit.rows:
                 raise CompilationError(
-                    f"pool{pool_idx}: window of {spec.size} rows exceeds "
+                    f"{name}: window of {spec.size} rows exceeds "
                     f"the pool unit's {config.pool_unit.rows} adder rows"
                 )
             if spec.out_shape[2] > config.pool_unit.columns:
                 raise CompilationError(
-                    f"pool{pool_idx}: pooled rows of width "
+                    f"{name}: pooled rows of width "
                     f"{spec.out_shape[2]} exceed the pool unit's "
                     f"{config.pool_unit.columns} columns"
                 )
             programs.append(LayerProgram(
-                index=i, name=f"pool{pool_idx}", kind="pool", spec=spec))
+                index=i, name=name, kind="pool", spec=spec))
         elif spec.kind == "flatten":
             programs.append(LayerProgram(
-                index=i, name="flatten", kind="flatten", spec=spec))
+                index=i, name=name, kind="flatten", spec=spec))
         else:
-            fc_idx += 1
             programs.append(LayerProgram(
-                index=i, name=f"fc{fc_idx}", kind="linear", spec=spec,
+                index=i, name=name, kind="linear", spec=spec,
                 weights_on_chip=weights_on_chip,
                 gemm=GemmWeights(spec.weights, network.num_steps)))
 

@@ -4,9 +4,13 @@
 this unit: the full (time step → input channel → row → shift) loop nest on
 real spike data, through the input shift register, the ``Y × X`` adder
 array and the output accumulator.  The result is bit-exact against the
-reference integer semantics — the tests enforce this for random layers —
-and cycle costs are charged from the same formulas the analytic model
-uses, so functional runs and estimates always agree.
+reference integer semantics — the tests enforce this for random layers.
+Cycles and memory traffic are charged as the loops run: each
+(step, input channel) row sweep costs
+:func:`~repro.core.latency.conv_pass_cycles` and each step a pass setup.
+The analytic model prices the whole layer in one closed form
+(:func:`~repro.core.latency.layer_charges`); the tests hold the two
+equal.
 
 Channel packing: when several whole input rows fit the shift register
 (``repro.core.latency.channels_per_pass``), a pass computes that many

@@ -3,11 +3,13 @@
 For each layer the engine reads the input spike train from the active
 ping-pong bank, dispatches work to the processing units (convolution
 rounds run all units concurrently; pooling and linear layers use their
-single unit), writes the result to the opposite bank and swaps.  Cycle
-charges come from the same calibrated formulas as the analytic latency
-model, DRAM weight streams are charged before their layer (the paper's
-off-chip option), and all memory traffic is counted for the dataflow
-ablation.
+single unit), writes the result to the opposite bank and swaps.  The
+units charge their own cycles and memory traffic as their loops run,
+from the calibrated per-row and per-pass constants; this engine adds
+each layer's setup and charges DRAM weight streams before their layer
+(the paper's off-chip option).  Nothing here reads the analytic closed
+form (:func:`~repro.core.latency.layer_charges`) for a conv, pool or
+linear layer: the tests hold the two equal, layer by layer.
 
 This is the shift-register/adder-array model the repo was seeded with; it
 simulates every register shift and adder operation, so it is slow —
@@ -22,10 +24,13 @@ import numpy as np
 from repro.core.calibration import DEFAULT_LATENCY, LatencyCalibration
 from repro.core.compiler import CompiledModel
 from repro.core.conv_unit import ConvUnit
-from repro.core.dram import DramModel
 from repro.core.engine.base import ExecutionEngine, register_engine
 from repro.core.engine.trace import ExecutionTrace, LayerTrace
-from repro.core.latency import flatten_cycles, input_load_cycles
+from repro.core.latency import (
+    dram_stream_cycles,
+    flatten_cycles,
+    input_load_cycles,
+)
 from repro.core.linear_unit import LinearUnit
 from repro.core.pingpong import BufferPair
 from repro.core.pool_unit import PoolUnit
@@ -95,7 +100,6 @@ class ReferenceEngine(ExecutionEngine):
         trace.input_cycles = input_load_cycles(
             network.input_shape, self.calibration, t)
         buffers.planar.prime(bits, bits_per_element=1)
-        dram = DramModel(config.memory)
         logits: np.ndarray | None = None
 
         for program in self.compiled.programs:
@@ -105,7 +109,7 @@ class ReferenceEngine(ExecutionEngine):
             if (program.kind in ("conv", "linear")
                     and not program.weights_on_chip):
                 streamed_bits = spec.num_weights * network.weight_bits
-                dram_cycles = dram.stream(program.name, streamed_bits)
+                dram_cycles = dram_stream_cycles(streamed_bits, config)
             if program.kind == "conv":
                 stats, out_bits = self._run_conv(program, buffers, t)
                 buffers.planar.write(out_bits, bits_per_element=1)

@@ -8,11 +8,12 @@ The same accounting comes in three shapes:
   the equivalence suite pins every field image by image.
 * :class:`BatchTrace` — one batch in structure-of-arrays form, the
   native output of the vectorized and sparse engines and the shape the
-  runtime ships between processes and hosts.  The cost model charges
-  every layer a closed-form number of cycles and memory traffic that
-  does not depend on the data, so those charges are one ``(L, 6)`` table
-  shared by every image; only the adder activity follows the spikes and
-  is kept as an ``(N, L)`` matrix.
+  runtime ships between processes and hosts.  The cost model
+  (:func:`~repro.core.latency.layer_charges`) charges every layer a
+  closed-form number of cycles and memory traffic that does not depend
+  on the data, so those charges are one ``(L, 6)`` table shared by every
+  image; only the adder activity follows the spikes and is kept as an
+  ``(N, L)`` matrix.
 * :class:`TraceMerge` — the multi-image (and multi-process) aggregate:
   one ``(L, 7)`` table of per-layer integer sums.  Merging is exact
   integer addition, so merging shards in any order — or splitting a
@@ -24,21 +25,18 @@ The same accounting comes in three shapes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.latency import CHARGE_COLUMNS
 from repro.core.stats import MemoryTraffic
 from repro.errors import SimulationError
 
 __all__ = ["BatchTrace", "CHARGE_COLUMNS", "ExecutionTrace", "LayerTrace",
            "MERGE_COLUMNS", "TraceMerge"]
 
-_TRAFFIC_FIELDS = tuple(f.name for f in fields(MemoryTraffic))
-
-#: Columns of :attr:`BatchTrace.charges`: one layer's per-image charges,
-#: which depend only on the layer geometry, never on the data.
-CHARGE_COLUMNS = ("cycles", "dram_cycles") + _TRAFFIC_FIELDS
+_TRAFFIC_FIELDS = CHARGE_COLUMNS[2:]
 
 #: Columns of :attr:`TraceMerge.table`: the charges plus adder ops.
 MERGE_COLUMNS = CHARGE_COLUMNS + ("adder_ops",)

@@ -21,12 +21,14 @@ int64 — one chunk per layer for the evaluated models.  A layer where a
 single product can exceed ``2**24`` (large ``T``) falls back to one
 float64 GEMM, exact below ``2**53`` as ``SNNModel.forward_ints`` is.
 
-Trace parity: cycle and memory-traffic counters are charged from the same
-calibrated formulas the unit models charge per loop iteration, collapsed
-into closed forms; the data-dependent adder-operation counters are
-recovered from spike popcounts (a spike train's per-step bits of value
-``v`` sum to ``popcount(v)``).  The equivalence suite pins every trace
-field against the reference engine.
+Trace parity: cycle and memory-traffic counters come from
+:func:`~repro.core.latency.layer_charges`, the one closed form that also
+prices every layer for :class:`~repro.core.latency.LatencyModel`.  The
+reference engine's unit models charge their own loops instead, and the
+equivalence suite pins every trace field against them.  The
+data-dependent adder-operation counters are recovered from spike
+popcounts (a spike train's per-step bits of value ``v`` sum to
+``popcount(v)``).
 
 The engine's native output is a :class:`~repro.core.engine.trace.BatchTrace`
 (:meth:`VectorizedEngine._run_batch_trace`, behind ``run_merged``): the
@@ -56,12 +58,11 @@ import numpy as np
 
 from repro.core.compiler import LayerProgram
 from repro.core.engine.base import ExecutionEngine, register_engine
-from repro.core.engine.trace import CHARGE_COLUMNS, BatchTrace, ExecutionTrace
+from repro.core.engine.trace import BatchTrace, ExecutionTrace
 from repro.core.latency import (
-    conv_pass_cycles,
-    dram_stream_cycles,
-    flatten_cycles,
+    CHARGE_COLUMNS,
     input_load_cycles,
+    layer_charges,
 )
 from repro.encoding import radix
 from repro.errors import SimulationError
@@ -78,10 +79,6 @@ def _popcount(values: np.ndarray) -> np.ndarray:
     are clipped to ``[0, 2**T - 1]``, so counting every set bit is exact.
     """
     return np.bitwise_count(values).astype(np.int64)
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 @register_engine
@@ -128,10 +125,12 @@ class VectorizedEngine(ExecutionEngine):
         every batch's trace that the data cannot change."""
         network = self.compiled.network
         programs = self.compiled.programs
-        charges = np.array([self._layer_charges(program)
-                            for program in programs],
-                           dtype=np.int64).reshape(len(programs),
-                                                   len(CHARGE_COLUMNS))
+        charges = np.array([
+            layer_charges(p.spec, self.compiled.config, self.calibration,
+                          network.num_steps, network.weight_bits,
+                          p.weights_on_chip)
+            for p in programs], dtype=np.int64).reshape(
+                len(programs), len(CHARGE_COLUMNS))
         charges.flags.writeable = False
         return BatchTrace(
             layers=tuple((p.name, p.kind) for p in programs),
@@ -140,64 +139,6 @@ class VectorizedEngine(ExecutionEngine):
                                            self.calibration,
                                            network.num_steps),
             adder_ops=np.zeros((0, len(programs)), dtype=np.int64))
-
-    def _layer_charges(self, program: LayerProgram) -> tuple[int, ...]:
-        """One layer's per-image charges, in ``CHARGE_COLUMNS`` order.
-
-        Closed forms of what the unit models charge per loop iteration:
-        the units sweep every plane whether or not it spikes, so none of
-        these depend on the data.
-        """
-        network = self.compiled.network
-        spec = program.spec
-        cal = self.calibration
-        t = network.num_steps
-        dram_cycles = 0
-        streamed_bits = 0
-        if program.kind in ("conv", "linear") and not program.weights_on_chip:
-            streamed_bits = spec.num_weights * network.weight_bits
-            if streamed_bits:
-                dram_cycles = dram_stream_cycles(streamed_bits,
-                                                 self.compiled.config)
-        kernel_reads = 0
-        if program.kind == "conv":
-            c_in, h_in, w_in = spec.in_shape
-            c_out, h_out, w_out = spec.out_shape
-            h_padded = h_in + 2 * spec.padding
-            # Every unit pass sweeps all padded rows of every input
-            # channel at every step; rounds run back to back, concurrent
-            # units tie.
-            per_round = t * (c_in * conv_pass_cycles(spec, cal)
-                             + cal.conv_pass_setup)
-            rounds = program.conv_schedule.num_rounds
-            cycles = rounds * per_round + cal.layer_setup
-            groups = sum(len(r) for r in program.conv_schedule.rounds)
-            reads = groups * t * c_in * h_padded * w_in
-            writes = c_out * h_out * w_out * t
-            kernel_reads = t * c_in * h_padded * spec.kernel_size[0] * c_out
-        elif program.kind == "pool":
-            c, h_in, w_in = spec.in_shape
-            _, h_out, w_out = spec.out_shape
-            cycles = (t * c * (h_in * (spec.size + cal.pool_row_overhead)
-                               + cal.pool_pass_setup)
-                      + cal.layer_setup)
-            reads = t * c * h_in * w_in
-            writes = c * h_out * w_out * t
-        elif program.kind == "flatten":
-            cycles = flatten_cycles(spec, self.compiled.config, t)
-            reads = writes = t * spec.out_features
-        else:  # linear
-            p = self.compiled.config.linear_unit.parallel_outputs
-            blocks = _ceil_div(spec.out_features, p)
-            cycles = (t * (blocks * (spec.in_features
-                                     + cal.linear_block_flush)
-                           + cal.linear_pass_setup)
-                      + cal.layer_setup)
-            reads = t * spec.in_features
-            writes = spec.out_features * t
-            kernel_reads = t * spec.in_features * spec.out_features
-        return (cycles, dram_cycles, reads, writes, kernel_reads,
-                streamed_bits)
 
     # ------------------------------------------------------------------
     # Compute hooks: the arithmetic, separable from the trace charges.

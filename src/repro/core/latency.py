@@ -23,36 +23,40 @@ a single convolution unit, if their size permits" and is what lets the
 120-channel 1×1-output LeNet layer and VGG-11's narrow deep layers run in
 reasonable time.
 
-The functional simulator (``repro.core.controller``) charges cycles using
-these same functions, so analytic estimates and functional runs agree
-exactly.
+One closed form prices every layer: :func:`layer_charges` returns a
+layer's cycles, DRAM stream cycles and memory traffic.
+:class:`LatencyModel` reads it from the layer specs, with no compiled
+program, and the ``vectorized`` and ``sparse`` engines build their
+per-layer charge table from it.  The ``reference`` engine's unit models
+charge their own loops instead, one register shift at a time; the tests
+hold those charges equal to this closed form layer by layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.core.calibration import DEFAULT_LATENCY, LatencyCalibration
 from repro.core.config import AcceleratorConfig
+from repro.core.stats import MemoryTraffic
 from repro.errors import CompilationError
 from repro.snn.spec import (
     FlattenSpec,
+    LayerSpec,
     QuantConvSpec,
-    QuantLinearSpec,
-    QuantPoolSpec,
     QuantizedNetwork,
 )
 
 __all__ = [
+    "CHARGE_COLUMNS",
     "channels_per_pass",
     "conv_group_count",
     "conv_pass_cycles",
-    "conv_layer_cycles",
-    "pool_layer_cycles",
-    "linear_layer_cycles",
     "flatten_cycles",
     "input_load_cycles",
     "dram_stream_cycles",
+    "layer_charges",
+    "layer_names",
     "LatencyModel",
     "LayerLatency",
 ]
@@ -103,54 +107,6 @@ def conv_pass_cycles(
     return h_padded * (kc + cal.conv_row_overhead) + cal.conv_channel_fill
 
 
-def conv_layer_cycles(
-    spec: QuantConvSpec,
-    config: AcceleratorConfig,
-    cal: LatencyCalibration = DEFAULT_LATENCY,
-    num_steps: int | None = None,
-) -> int:
-    """Total cycles of a convolution layer on ``U`` parallel units."""
-    t = num_steps if num_steps is not None else 1
-    groups = conv_group_count(spec, config)
-    c_in = spec.in_shape[0]
-    per_cin = conv_pass_cycles(spec, cal)
-    per_group_step = c_in * per_cin + cal.conv_pass_setup
-    return groups * t * per_group_step + cal.layer_setup
-
-
-def pool_layer_cycles(
-    spec: QuantPoolSpec,
-    config: AcceleratorConfig,
-    cal: LatencyCalibration = DEFAULT_LATENCY,
-    num_steps: int | None = None,
-) -> int:
-    """Total cycles of a pooling layer (single unit, channel-serial)."""
-    t = num_steps if num_steps is not None else 1
-    c, h_in, w_in = spec.in_shape
-    if spec.out_shape[2] > config.pool_unit.columns:
-        raise CompilationError(
-            f"pooled rows of width {spec.out_shape[2]} exceed the pool "
-            f"unit's {config.pool_unit.columns} columns"
-        )
-    per_channel = h_in * (spec.size + cal.pool_row_overhead)
-    return (c * t * (per_channel + cal.pool_pass_setup)
-            + cal.layer_setup)
-
-
-def linear_layer_cycles(
-    spec: QuantLinearSpec,
-    config: AcceleratorConfig,
-    cal: LatencyCalibration = DEFAULT_LATENCY,
-    num_steps: int | None = None,
-) -> int:
-    """Total cycles of a fully-connected layer (weight-fetch bound)."""
-    t = num_steps if num_steps is not None else 1
-    blocks = _ceil_div(spec.out_features,
-                       config.linear_unit.parallel_outputs)
-    per_step = blocks * (spec.in_features + cal.linear_block_flush)
-    return t * (per_step + cal.linear_pass_setup) + cal.layer_setup
-
-
 def flatten_cycles(
     spec: FlattenSpec,
     config: AcceleratorConfig,
@@ -172,9 +128,99 @@ def input_load_cycles(
 
 
 def dram_stream_cycles(param_bits: int, config: AcceleratorConfig) -> int:
-    """Streaming one layer's parameters from DRAM before computing it."""
+    """Streaming one layer's parameters from DRAM before computing it.
+
+    Nothing to stream costs nothing: no burst is set up for zero bits.
+    """
+    if not param_bits:
+        return 0
     transfer = _ceil_div(param_bits, config.memory.dram_bandwidth_bits)
     return transfer + config.memory.dram_burst_setup_cycles
+
+
+#: One layer's per-image charges, in :func:`layer_charges` order: compute
+#: cycles, DRAM stream cycles, then the
+#: :class:`~repro.core.stats.MemoryTraffic` counters.
+CHARGE_COLUMNS = ("cycles", "dram_cycles") + tuple(
+    f.name for f in fields(MemoryTraffic))
+
+
+def layer_charges(
+    spec: LayerSpec,
+    config: AcceleratorConfig,
+    calibration: LatencyCalibration,
+    num_steps: int,
+    weight_bits: int,
+    weights_on_chip: bool,
+) -> tuple[int, ...]:
+    """One layer's per-image charges, in :data:`CHARGE_COLUMNS` order.
+
+    The closed forms of what the reference engine's unit models charge
+    loop by loop.  The units sweep every plane whether or not it spikes,
+    so none of these depend on the data.
+    """
+    cal = calibration
+    t = num_steps
+    kernel_reads = 0
+    if spec.kind == "conv":
+        c_in, h_in, w_in = spec.in_shape
+        c_out, h_out, w_out = spec.out_shape
+        h_padded = h_in + 2 * spec.padding
+        # Every unit pass sweeps all padded rows of every input channel
+        # at every step; rounds of concurrent passes run back to back.
+        per_round = t * (c_in * conv_pass_cycles(spec, cal)
+                         + cal.conv_pass_setup)
+        cycles = conv_group_count(spec, config) * per_round + cal.layer_setup
+        passes = _ceil_div(c_out, channels_per_pass(spec, config))
+        reads = passes * t * c_in * h_padded * w_in
+        writes = t * c_out * h_out * w_out
+        kernel_reads = t * c_in * h_padded * spec.kernel_size[0] * c_out
+    elif spec.kind == "pool":
+        c, h_in, w_in = spec.in_shape
+        _, h_out, w_out = spec.out_shape
+        if w_out > config.pool_unit.columns:
+            raise CompilationError(
+                f"pooled rows of width {w_out} exceed the pool unit's "
+                f"{config.pool_unit.columns} columns"
+            )
+        # Channel-serial on the single unit: one pass of the input rows
+        # per (step, channel).
+        cycles = (t * c * (h_in * (spec.size + cal.pool_row_overhead)
+                           + cal.pool_pass_setup)
+                  + cal.layer_setup)
+        reads = t * c * h_in * w_in
+        writes = t * c * h_out * w_out
+    elif spec.kind == "flatten":
+        cycles = flatten_cycles(spec, config, t)
+        reads = writes = t * spec.out_features
+    else:  # linear: one weight word per cycle per output block
+        blocks = _ceil_div(spec.out_features,
+                           config.linear_unit.parallel_outputs)
+        cycles = (t * (blocks * (spec.in_features + cal.linear_block_flush)
+                       + cal.linear_pass_setup)
+                  + cal.layer_setup)
+        reads = t * spec.in_features
+        writes = t * spec.out_features
+        kernel_reads = t * spec.in_features * spec.out_features
+    streamed_bits = 0
+    if spec.kind in ("conv", "linear") and not weights_on_chip:
+        streamed_bits = spec.num_weights * weight_bits
+    return (cycles, dram_stream_cycles(streamed_bits, config), reads,
+            writes, kernel_reads, streamed_bits)
+
+
+def layer_names(network: QuantizedNetwork) -> list[str]:
+    """Each layer's name: ``conv1``, ``pool1``, ``flatten``, ``fc1``, …"""
+    prefixes = {"conv": "conv", "pool": "pool", "linear": "fc"}
+    counts = dict.fromkeys(prefixes, 0)
+    names = []
+    for spec in network.layers:
+        if spec.kind == "flatten":
+            names.append("flatten")
+        else:
+            counts[spec.kind] += 1
+            names.append(f"{prefixes[spec.kind]}{counts[spec.kind]}")
+    return names
 
 
 @dataclass(frozen=True)
@@ -209,37 +255,16 @@ class LatencyModel:
     ) -> list[LayerLatency]:
         """Per-layer cycle breakdown for one inference."""
         t = network.num_steps
-        cal = self.calibration
-        out: list[LayerLatency] = []
-        out.append(LayerLatency(
+        out = [LayerLatency(
             name="input", kind="input",
-            compute_cycles=input_load_cycles(network.input_shape, cal, t),
+            compute_cycles=input_load_cycles(network.input_shape,
+                                             self.calibration, t),
             dram_cycles=0,
-        ))
-        conv_idx = pool_idx = linear_idx = 0
-        for spec in network.layers:
-            dram = 0
-            if spec.kind == "conv":
-                conv_idx += 1
-                name = f"conv{conv_idx}"
-                cycles = conv_layer_cycles(spec, self.config, cal, t)
-                if not weights_on_chip:
-                    dram = dram_stream_cycles(
-                        spec.num_weights * network.weight_bits, self.config)
-            elif spec.kind == "pool":
-                pool_idx += 1
-                name = f"pool{pool_idx}"
-                cycles = pool_layer_cycles(spec, self.config, cal, t)
-            elif spec.kind == "flatten":
-                name = "flatten"
-                cycles = flatten_cycles(spec, self.config, t)
-            else:
-                linear_idx += 1
-                name = f"fc{linear_idx}"
-                cycles = linear_layer_cycles(spec, self.config, cal, t)
-                if not weights_on_chip:
-                    dram = dram_stream_cycles(
-                        spec.num_weights * network.weight_bits, self.config)
+        )]
+        for spec, name in zip(network.layers, layer_names(network)):
+            cycles, dram, *_ = layer_charges(
+                spec, self.config, self.calibration, t,
+                network.weight_bits, weights_on_chip)
             out.append(LayerLatency(name=name, kind=spec.kind,
                                     compute_cycles=cycles, dram_cycles=dram))
         return out

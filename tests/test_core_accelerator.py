@@ -56,8 +56,8 @@ class TestFunctionalExactness:
         assert len(traces) == 3
 
     def test_functional_cycles_match_analytic_model(self):
-        """The controller charges cycles from the same formulas as the
-        analytic model — totals must agree exactly."""
+        """The reference engine's unit loops and the analytic closed
+        form charge the same cycles — totals must agree exactly."""
         net = random_network()
         snn = SNNModel(net)
         config = AcceleratorConfig.for_network(net, num_conv_units=2)

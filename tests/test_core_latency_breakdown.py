@@ -5,12 +5,10 @@ import pytest
 from repro.core import AcceleratorConfig, LatencyModel
 from repro.core.calibration import LatencyCalibration
 from repro.core.latency import (
-    conv_layer_cycles,
     conv_pass_cycles,
     dram_stream_cycles,
     flatten_cycles,
-    linear_layer_cycles,
-    pool_layer_cycles,
+    layer_charges,
 )
 from repro.models import performance_network
 
@@ -20,6 +18,12 @@ def small_net(num_steps=3):
         [("conv", 4, 3, 1, 1), ("pool", 2), ("conv", 8, 3, 1, 0),
          ("flatten",), ("linear", 20), ("linear", 5)],
         input_shape=(1, 12, 12), num_steps=num_steps)
+
+
+def compute_cycles(spec, config, num_steps, cal=LatencyCalibration()):
+    """One layer's compute cycles from the closed form."""
+    return layer_charges(spec, config, cal, num_steps, weight_bits=3,
+                         weights_on_chip=True)[0]
 
 
 class TestLayerLatencies:
@@ -69,10 +73,10 @@ class TestCycleFormulas:
         spec = net.conv_layers()[1]
         config1 = AcceleratorConfig().with_units(1)
         config8 = AcceleratorConfig().with_units(8)
-        assert conv_layer_cycles(spec, config8, num_steps=3) < \
-            conv_layer_cycles(spec, config1, num_steps=3)
-        t3 = conv_layer_cycles(spec, config1, num_steps=3)
-        t6 = conv_layer_cycles(spec, config1, num_steps=6)
+        assert compute_cycles(spec, config8, num_steps=3) < \
+            compute_cycles(spec, config1, num_steps=3)
+        t3 = compute_cycles(spec, config1, num_steps=3)
+        t6 = compute_cycles(spec, config1, num_steps=6)
         cal = LatencyCalibration()
         assert t6 - cal.layer_setup == pytest.approx(
             2 * (t3 - cal.layer_setup))
@@ -81,7 +85,7 @@ class TestCycleFormulas:
         net = small_net()
         spec = net.pool_layers()[0]
         config = AcceleratorConfig()
-        t = pool_layer_cycles(spec, config, num_steps=2)
+        t = compute_cycles(spec, config, num_steps=2)
         cal = LatencyCalibration()
         per_channel = spec.in_shape[1] * (2 + cal.pool_row_overhead)
         expected = (spec.in_shape[0] * 2 * (per_channel
@@ -94,7 +98,7 @@ class TestCycleFormulas:
         spec = net.linear_layers()[0]  # 128 -> 20
         config = AcceleratorConfig()  # 21 parallel outputs
         cal = LatencyCalibration()
-        cycles = linear_layer_cycles(spec, config, num_steps=1)
+        cycles = compute_cycles(spec, config, num_steps=1)
         blocks = -(-spec.out_features // 21)
         assert cycles == (blocks * (spec.in_features
                                     + cal.linear_block_flush)
@@ -119,6 +123,6 @@ class TestCycleFormulas:
         spec = net.conv_layers()[0]
         config = AcceleratorConfig()
         slow = LatencyCalibration(conv_row_overhead=50)
-        default_cycles = conv_layer_cycles(spec, config, num_steps=2)
-        slow_cycles = conv_layer_cycles(spec, config, slow, num_steps=2)
+        default_cycles = compute_cycles(spec, config, num_steps=2)
+        slow_cycles = compute_cycles(spec, config, num_steps=2, cal=slow)
         assert slow_cycles > default_cycles

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import AcceleratorConfig, BufferPair, DramModel, plan_bram
+from repro.core import AcceleratorConfig, BufferPair, plan_bram
 from repro.core.config import MemoryConfig
+from repro.core.latency import dram_stream_cycles
 from repro.core.pingpong import PingPongBuffer
-from repro.errors import CapacityError, ShapeError, SimulationError
+from repro.errors import CapacityError, SimulationError
 from repro.models import performance_network, vgg11_performance_network
 
 
@@ -104,33 +105,24 @@ class TestBramPlan:
 
 
 class TestDramModel:
+    """The DRAM weight-stream charge, ``dram_stream_cycles``."""
+
+    @staticmethod
+    def config(**memory):
+        return AcceleratorConfig(memory=MemoryConfig(**memory))
+
     def test_transfer_cycles(self):
-        dram = DramModel(MemoryConfig(dram_bandwidth_bits=64,
-                                      dram_burst_setup_cycles=10))
-        cycles = dram.stream("conv1", bits=640)
-        assert cycles == 640 // 64 + 10
+        config = self.config(dram_bandwidth_bits=64,
+                             dram_burst_setup_cycles=10)
+        assert dram_stream_cycles(640, config) == 640 // 64 + 10
 
     def test_rounds_partial_words_up(self):
-        dram = DramModel(MemoryConfig(dram_bandwidth_bits=64,
-                                      dram_burst_setup_cycles=0))
-        assert dram.stream("x", bits=65) == 2
-
-    def test_accumulates_totals(self):
-        dram = DramModel(MemoryConfig())
-        dram.stream("a", 128)
-        dram.stream("b", 256)
-        assert dram.total_bits == 384
-        assert len(dram.transfers) == 2
-        assert dram.was_used
+        config = self.config(dram_bandwidth_bits=64,
+                             dram_burst_setup_cycles=0)
+        assert dram_stream_cycles(65, config) == 2
 
     def test_zero_bits_is_free(self):
-        dram = DramModel(MemoryConfig())
-        assert dram.stream("empty", 0) == 0
-        assert not dram.was_used
-
-    def test_negative_rejected(self):
-        with pytest.raises(ShapeError):
-            DramModel(MemoryConfig()).stream("bad", -1)
+        assert dram_stream_cycles(0, self.config()) == 0
 
 
 class TestAcceleratorConfigValidation:

@@ -22,6 +22,7 @@ import os
 import pickle
 import signal
 import socket
+import threading
 import time
 
 import numpy as np
@@ -185,7 +186,22 @@ class TestWorkStealing:
         baseline, _ = run_group([ThreadWorker()], deployment, items)
 
         # Pin everything to lane 0; lane 1 only gets work by stealing.
-        workers = create_workers(["thread", "thread"])
+        # Lane 0 holds its first item until lane 1 has run one, so it
+        # cannot drain the whole queue before lane 1 looks for work.
+        stolen = threading.Event()
+
+        class HeldLane(ThreadWorker):
+            def execute(self, item):
+                stolen.wait(timeout=30.0)
+                return super().execute(item)
+
+        class StealingLane(ThreadWorker):
+            def execute(self, item):
+                result = super().execute(item)
+                stolen.set()
+                return result
+
+        workers = [HeldLane(name="held"), StealingLane(name="stealer")]
         with WorkerGroup(workers, deployments=[deployment],
                          steal=True) as group:
             stolen_results = group.run(items,
