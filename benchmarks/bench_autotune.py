@@ -1,19 +1,19 @@
-"""Autotune benchmark — the calibration subsystem's two hard gates.
+"""Autotune benchmark — silent-frame skipping and calibrated sharding.
 
-Measured, not guessed: this benchmark calibrates the LeNet deployment
-(:func:`repro.core.engine.calibrate.calibrate_deployment`), then holds
-the resulting table to its promises and records the evidence in
-``artifacts/bench_autotune.json``:
+Measured, not guessed: this benchmark holds the LeNet deployment to two
+promises and records the evidence in ``artifacts/bench_autotune.json``:
 
-* **Density routing** — at every density bucket from near-silent to
-  dense, the ``sparse`` backend (which runs each batch on its sparse
-  hooks or, above the calibrated crossover, on the ``vectorized``
-  kernels) must land within 5 % of the *better* of the two fixed paths
-  — ``vectorized`` and ``sparse`` with routing disabled — and at the
-  sparsest and densest buckets it must be strictly faster than the
-  *worse* one — i.e. routing by the table picks the winning kernels
-  where the choice matters.  Logits and traces are asserted
-  bit-identical across all three at every bucket.
+* **Silent frames** — the vectorized engine (``sparse`` is an alias)
+  runs each layer's kernel only on the images with a spike it reads.
+  At every density bucket, from near-silent to dense, each batch holds
+  event frames of which at least half are silent (three quarters at the
+  sparsest, the event-stream prior) or, where the density leaves no
+  room for that, as many as it allows, and the whole batch's logits
+  and per-image trace rows must equal those of its live frames and its
+  silent frames run as two separate batches.  At the sparsest bucket
+  the mixed batch must also run strictly faster than an equal-size
+  batch whose frames are all live at the same per-frame density —
+  i.e. silent frames really cost less than live ones.
 * **Saturation-aware sharding** — on a cheap-per-image event workload
   (mostly silent frames on the sparse backend), a
   ``SweepDriver(saturate=True)`` run on 2 process lanes must beat a
@@ -21,26 +21,29 @@ the resulting table to its promises and records the evidence in
   ~ms-per-image work, but once the per-image cost collapses on a
   mostly-silent stream the per-unit dispatch tax dominates every lane)
   by >= 1.1x wall clock with bit-identical merged predictions and
-  trace counters.  The two
+  trace counters.  The dispatch cost comes from the deployment's
+  calibration table (:func:`repro.core.engine.calibrate.calibrate_deployment`).
+  The two
   configurations are swept in paired alternating rounds and compared by
   median per-round ratio — forked-lane wall clocks are the noisiest
   numbers in the suite.  Requires >= 2 cores; skipped (pytest) or
   omitted (``__main__``) below that.
 """
 
-import itertools
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from repro.core import AcceleratorConfig
-from repro.core.engine import create_engine, warm_engine
-from repro.core.engine.calibrate import calibrate_deployment, probe_batch
+from repro.core.engine import warm_engine
+from repro.core.engine.calibrate import (
+    calibrate_deployment,
+    event_silent_frac,
+    probe_batch,
+)
 from repro.harness import Table
 from repro.harness.sweep import SweepDriver, SweepTask
-from repro.telemetry import get_registry
 
 from benchmarks.conftest import (
     FAST_MODE,
@@ -55,8 +58,11 @@ RESULTS_PATH = (Path(__file__).resolve().parent.parent
 DENSITY_BUCKETS = (0.02, 0.10, 0.25, 0.50, 0.90)
 BATCH = 16 if FAST_MODE else 48
 ROUNDS = 12 if FAST_MODE else 18
-#: Re-measures allowed per bucket before its gate verdict sticks — a
-#: mis-route fails all of them; a noisy neighbour usually only one.
+#: Every bucket's batch has at least this share of silent frames where
+#: its density allows.
+MIN_SILENT_FRAC = 0.5
+#: Re-measures allowed before the timing verdict sticks — a real
+#: regression fails all of them; a noisy neighbour usually only one.
 MEASURE_ATTEMPTS = 3
 #: Saturated-sharding workload: mostly silent event frames (cheap per
 #: image) so the per-unit dispatch tax dominates a fixed-shard run.
@@ -93,117 +99,103 @@ def _calibrated_lenet(runner):
     return snn, config, table, cached
 
 
-def _routed_total(backend: str) -> float:
-    return get_registry().counter(
-        "engine_auto_routed_total",
-        labelnames=("backend",)).labels(backend=backend).value
+def _split_run(engine, images: np.ndarray) -> tuple:
+    """Logits and per-image adder rows of ``images`` run as two batches,
+    its live frames and its silent frames, put back in batch order."""
+    silent = ~images.reshape(len(images), -1).any(axis=1)
+    logits = adder_ops = None
+    for part in (~silent, silent):
+        if not part.any():
+            continue
+        part_logits, part_trace = engine.run_merged(images[part])
+        if logits is None:
+            logits = np.zeros((len(images),) + part_logits.shape[1:],
+                              dtype=part_logits.dtype)
+            adder_ops = np.zeros((len(images),)
+                                 + part_trace.adder_ops.shape[1:],
+                                 dtype=np.int64)
+        logits[part] = part_logits
+        adder_ops[part] = part_trace.adder_ops
+    return logits, adder_ops
 
 
-def run_sparse_routing(runner, rng) -> dict:
-    """Gate 1: routed sparse must track the better fixed path per bucket."""
+def _race(engine, batches: dict) -> tuple[dict, list]:
+    """Median seconds per batch, and the per-round rows they come from;
+    every round times each batch once, the order alternating, so the
+    caller can compare batches by per-round ratios."""
+    names = list(batches)
+    for images in batches.values():
+        engine.run_merged(images)                 # full-batch warm-up
+    rounds = []
+    for index in range(ROUNDS):
+        row = {}
+        for name in (names if index % 2 == 0 else names[::-1]):
+            row[name] = _best_time(
+                lambda: engine.run_merged(batches[name]), rounds=1)
+        rounds.append(row)
+    return {name: float(np.median([row[name] for row in rounds]))
+            for name in names}, rounds
+
+
+def run_silent_frames(runner, rng) -> dict:
+    """Gate 1: silent frames are exact to split off and cheaper to run."""
     snn, config, table, cached = _calibrated_lenet(runner)
-    # The warm sparse engine: install_table refreshed its thresholds in
-    # place.  Its dense batches run on the very vectorized instance
-    # raced here, so the race below compares routing overhead, not
-    # engine-instance luck.  The unrouted engine keeps the calibrated
-    # per-hook fallbacks, routing disabled.
-    sparse = warm_engine(snn.network, config, "sparse")
-    unrouted = create_engine("sparse", sparse.compiled)
-    unrouted.apply_thresholds(replace(sparse.thresholds,
-                                      route_density=1.0))
-    engines = {"vectorized": sparse._dense,
-               "unrouted": unrouted,
-               "sparse": sparse}
-    fixed = ("vectorized", "unrouted")
-
-    # Every ordering of the three engines, cycled across rounds: a
-    # fixed or merely rotated order hands some engine a permanently
-    # warm predecessor (e.g. vectorized always running right after
-    # sparse's vectorized delegate) and biases the race by 5-15% on a
-    # busy host.  Paired per-round ratios + median (below) then cancel
-    # clock drift that spans rounds.
-    orders = list(itertools.permutations(engines))
-
-    def measure(images) -> dict:
-        rounds = []
-        for engine in engines.values():
-            engine.run_batch(images)              # full-batch warm-up
-        for index in range(ROUNDS):
-            row = {}
-            for name in orders[index % len(orders)]:
-                engine = engines[name]
-                row[name] = _best_time(
-                    lambda: engine.run_batch(images), rounds=1)
-            rounds.append(row)
-        seconds = {name: float(np.median([row[name] for row in rounds]))
-                   for name in engines}
-        return {
-            "vectorized_s": seconds["vectorized"],
-            "unrouted_s": seconds["unrouted"],
-            "sparse_s": seconds["sparse"],
-            "sparse_vs_best": float(np.median(
-                [min(row[name] for name in fixed) / row["sparse"]
-                 for row in rounds])),
-            "sparse_vs_worst": float(np.median(
-                [max(row[name] for name in fixed) / row["sparse"]
-                 for row in rounds])),
-            "sparse_over_vectorized": float(np.median(
-                [row["sparse"] / row["vectorized"] for row in rounds])),
-        }
+    engine = warm_engine(snn.network, config, "sparse")
+    shape = tuple(snn.network.input_shape)
 
     buckets = []
     for position, density in enumerate(DENSITY_BUCKETS):
-        images = probe_batch(snn.network.input_shape, density, BATCH, rng)
-        extreme = position in (0, len(DENSITY_BUCKETS) - 1)
-        # Routing is deterministic; the race against a noisy-neighbour
-        # clock is not.  A failed attempt re-rolls the measurement (a
-        # real mis-route keeps failing every attempt), bounded at 3.
-        for attempt in range(1, MEASURE_ATTEMPTS + 1):
-            stats = measure(images)
-            if stats["sparse_vs_best"] >= 0.95 and (
-                    not extreme or stats["sparse_vs_worst"] > 1.0):
-                break
+        silent_frac = min(max(event_silent_frac(density),
+                              MIN_SILENT_FRAC), 1.0 - density)
+        images = probe_batch(shape, density, BATCH, rng,
+                             silent_frac=silent_frac)
+        silent = ~images.reshape(BATCH, -1).any(axis=1)
+        assert silent.any() and not silent.all(), density
 
-        before = _routed_total("vectorized")
-        outputs = {name: engine.run_batch(images)
-                   for name, engine in engines.items()}
-        routed = ("vectorized" if _routed_total("vectorized") > before
-                  else "sparse")
-        # Bit-identity across all three paths, logits AND traces.
-        ref_logits, ref_traces = outputs["vectorized"]
-        for name in ("unrouted", "sparse"):
-            logits, traces = outputs[name]
-            np.testing.assert_array_equal(logits, ref_logits)
-            for trace, ref in zip(traces, ref_traces):
-                assert trace.total_cycles == ref.total_cycles, name
-                assert trace.total_adder_ops == ref.total_adder_ops, name
+        # Exactness: the mixed batch equals its two halves run apart
+        # (the other trace columns are data-independent charges).
+        logits, trace = engine.run_merged(images)
+        split_logits, split_adds = _split_run(engine, images)
+        np.testing.assert_array_equal(logits, split_logits)
+        np.testing.assert_array_equal(trace.adder_ops, split_adds)
 
-        buckets.append({
+        bucket = {
             "target_density": density,
             "input_density": float(np.count_nonzero(images)
                                    / images.size),
-            "routed": routed,
-            "attempts": attempt,
-            **stats,
-        })
+            "silent_frames": int(silent.sum()),
+        }
+        if position == 0:
+            # Speed: the same live frames' density, none of them silent.
+            live = probe_batch(shape, density / (1.0 - silent_frac),
+                               BATCH, rng, silent_frac=0.0)
+            assert live.reshape(BATCH, -1).any(axis=1).all()
+            for attempt in range(1, MEASURE_ATTEMPTS + 1):
+                seconds, rounds = _race(engine, {"mixed": images,
+                                                 "all_live": live})
+                speedup = float(np.median([row["all_live"] / row["mixed"]
+                                           for row in rounds]))
+                if speedup > 1.0:
+                    break
+            bucket.update(mixed_s=seconds["mixed"],
+                          all_live_s=seconds["all_live"],
+                          silent_speedup=speedup, attempts=attempt)
+        else:
+            seconds, _ = _race(engine, {"mixed": images})
+            bucket["mixed_s"] = seconds["mixed"]
+        buckets.append(bucket)
 
-    # The gates: within 5% of the better path everywhere; strictly
-    # ahead of the worse one where the routing choice matters most.
-    for bucket in buckets:
-        assert bucket["sparse_vs_best"] >= 0.95, (
-            f"sparse must be within 5% of the better fixed path at "
-            f"density {bucket['input_density']:.3f}: {bucket}")
-    for bucket in (buckets[0], buckets[-1]):
-        assert bucket["sparse_vs_worst"] > 1.0, (
-            f"sparse must beat the worse fixed path at the extreme "
-            f"density {bucket['input_density']:.3f}: {bucket}")
+    sparsest = buckets[0]
+    assert sparsest["silent_frames"] * 2 >= BATCH, sparsest
+    assert sparsest["silent_speedup"] > 1.0, (
+        f"a batch with {sparsest['silent_frames']}/{BATCH} silent frames "
+        f"must run faster than an all-live batch at the same per-frame "
+        f"density: {sparsest}")
 
     return {
         "workload": "LeNet-5, T=3, event blob frames per density bucket",
         "batch": BATCH,
         "calibration_cached": cached,
-        "backend_crossover": table.backend_crossover,
-        "hook_crossovers": table.hook_crossovers,
         "coo_ratio": table.coo_ratio,
         "buckets": buckets,
     }
@@ -283,18 +275,18 @@ def run_saturated_sharding(runner, rng) -> dict:
     return results
 
 
-def _render_routing(results: dict) -> Table:
+def _render_silent(results: dict) -> Table:
     table = Table(
-        "backend=sparse - batch routing vs fixed paths (LeNet-5)",
-        ["density", "routed", "vec s", "unrouted s", "sparse s",
-         "vs best", "sparse/vec"])
+        "Silent frames - batch time by input density (LeNet-5)",
+        ["density", "silent", "batch s", "all-live s", "speedup"])
     for bucket in results["buckets"]:
-        table.add_row(f"{bucket['input_density']:.3f}", bucket["routed"],
-                      f"{bucket['vectorized_s']:.4f}",
-                      f"{bucket['unrouted_s']:.4f}",
-                      f"{bucket['sparse_s']:.4f}",
-                      f"{bucket['sparse_vs_best']:.2f}x",
-                      f"{bucket['sparse_over_vectorized']:.2f}")
+        table.add_row(f"{bucket['input_density']:.3f}",
+                      f"{bucket['silent_frames']}/{results['batch']}",
+                      f"{bucket['mixed_s']:.4f}",
+                      (f"{bucket['all_live_s']:.4f}"
+                       if "all_live_s" in bucket else "-"),
+                      (f"{bucket['silent_speedup']:.2f}x"
+                       if "silent_speedup" in bucket else "-"))
     return table
 
 
@@ -310,13 +302,13 @@ def _render_sharding(results: dict) -> Table:
 
 
 def test_autotune_report(runner, rng):
-    routing = run_sparse_routing(runner, rng)
-    print_table(_render_routing(routing))
+    silent = run_silent_frames(runner, rng)
+    print_table(_render_silent(silent))
     skip_unless_multicore(2, "saturated sharding gate")
     sharding = run_saturated_sharding(runner, rng)
     print_table(_render_sharding(sharding))
     write_artifact(RESULTS_PATH,
-                   {"routing": routing, "sharding": sharding})
+                   {"silent_frames": silent, "sharding": sharding})
 
 
 if __name__ == "__main__":
@@ -324,9 +316,9 @@ if __name__ == "__main__":
 
     main_runner = ExperimentRunner()
     main_rng = np.random.default_rng(0)
-    routing_results = run_sparse_routing(main_runner, main_rng)
-    print(_render_routing(routing_results).render())
-    payload = {"routing": routing_results}
+    silent_results = run_silent_frames(main_runner, main_rng)
+    print(_render_silent(silent_results).render())
+    payload = {"silent_frames": silent_results}
     if multicore(2):
         sharding_results = run_saturated_sharding(main_runner, main_rng)
         print(_render_sharding(sharding_results).render())

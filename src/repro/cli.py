@@ -9,7 +9,7 @@ Usage::
     python -m repro dataflow          # memory-traffic ablation
     python -m repro figures           # Fig. 1 / Fig. 2 diagrams
     python -m repro sweep             # sharded accuracy sweep (fabric)
-    python -m repro calibrate         # measure sparsity crossovers
+    python -m repro calibrate         # measure codec + dispatch costs
     python -m repro serve             # async micro-batching server (TCP)
     python -m repro loadgen           # drive a server, report latency SLOs
     python -m repro worker            # TCP engine worker (join a fabric)
@@ -38,14 +38,13 @@ shards from measured per-image/per-batch/dispatch costs instead of a
 fixed ``--shard-size``, growing them until lanes spend their time
 computing rather than dispatching.
 
-``calibrate`` measures a deployment's sparse/dense crossover densities
-(per-layer dense fallback, COO wire encoding, the batch density above
-which ``--backend sparse`` runs a batch on the ``vectorized`` kernels,
-fabric dispatch cost) from probe batches and persists the
+``calibrate`` measures a deployment's COO wire-encoding crossover and
+fabric dispatch cost from probe batches and persists the
 :class:`~repro.core.engine.calibrate.CalibrationTable` in the artifact
-store keyed by the model's content key.  Engines constructed afterwards
-pick the table up automatically; ``--force`` re-measures an existing
-table.
+store keyed by the model's content key; the codec and ``sweep
+--saturate`` pick the table up automatically, and ``--force``
+re-measures an existing table.  ``--backend sparse`` names the same
+engine as ``--backend vectorized``, which skips silent images itself.
 
 ``worker`` turns this host into a TCP engine worker, two ways:
 ``--listen host:port`` accepts drivers (sweeps or serving pools on
@@ -165,13 +164,8 @@ def _run_calibrate(runner: ExperimentRunner, args) -> None:
         spec, force=args.force, measure_dispatch=True)
     print(f"calibration for {name} "
           f"(content key {table.content_key[:12]})")
-    for label in sorted(table.hook_crossovers):
-        print(f"  {label:<24} dense fallback at "
-              f"{table.hook_crossovers[label]:.3f} active")
     print(f"  {'codec COO':<24} raw buffers above "
           f"{table.coo_ratio:.3f} of raw bytes")
-    print(f"  {'batch routing':<24} sparse runs vectorized above "
-          f"{table.backend_crossover:.3f} input density")
     if table.dispatch_cost_s is not None:
         print(f"  {'fabric dispatch':<24} "
               f"{table.dispatch_cost_s * 1e3:.3f} ms/unit")
@@ -733,8 +727,8 @@ def main(argv: list[str] | None = None) -> int:
     # the vectorized engine (full test sets are intractable on the
     # reference model) — except for the fabric commands (sweep, serve,
     # loadgen), where the flag explicitly names the lane engine: every
-    # backend is bit-identical, so `--backend sparse` only changes
-    # speed, never a score or a served prediction.
+    # backend is bit-identical, so the flag only changes speed, never
+    # a score or a served prediction.
     score_backend = "vectorized"
     if args.backend and args.experiment in ("sweep", "serve", "loadgen"):
         score_backend = args.backend

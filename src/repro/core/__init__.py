@@ -40,7 +40,6 @@ from repro.core.conv_unit import ConvUnit
 from repro.core.engine import (
     ExecutionEngine,
     ReferenceEngine,
-    SparseEngine,
     VectorizedEngine,
     available_backends,
     clear_engine_cache,
@@ -114,7 +113,6 @@ __all__ = [
     "PowerCalibration",
     "PowerModel",
     "ReferenceEngine",
-    "SparseEngine",
     "ResourceCalibration",
     "ResourceEstimate",
     "ResourceModel",

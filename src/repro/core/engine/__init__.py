@@ -6,17 +6,16 @@ Importing this package registers the built-in backends:
   the shift-register/adder-array hardware model (slow, per-image);
 * ``vectorized`` — :class:`~repro.core.engine.vectorized.VectorizedEngine`,
   batched numpy tensor ops with identical integer semantics and traces;
-* ``sparse`` — :class:`~repro.core.engine.sparse.SparseEngine`,
-  the vectorized semantics restricted to active spike planes: all-zero
-  images/patches/taps are skipped, bits and traces unchanged; a batch
-  denser than the deployment's calibrated crossover runs on the
-  ``vectorized`` kernels instead (:mod:`repro.core.engine.auto`).
+  each layer's kernel runs only on the images with a spike it reads, so
+  silent images (event frames between events, activity that died out
+  mid-stack) cost no arithmetic.  ``sparse`` is an alias: both names
+  select this one engine and share one warm instance.
 
 Select one with ``Accelerator(config, backend="vectorized")`` or
 ``create_engine("vectorized", compiled)``.  ``repro calibrate`` (or
 :func:`~repro.core.engine.calibrate.calibrate_deployment`) measures the
-sparse/dense crossovers per deployment and persists them; engines pick
-installed tables up automatically at construction.
+codec's COO byte ratio and the fabric's dispatch cost per deployment
+and persists them; neither can change an output bit.
 """
 
 from repro.core.engine.base import (
@@ -35,16 +34,13 @@ from repro.core.engine.cache import (
 )
 from repro.core.engine.calibrate import (
     CalibrationTable,
-    EngineThresholds,
     calibrate_deployment,
     calibration_store_key,
     clear_calibration_tables,
     install_table,
     lookup_table,
-    thresholds_for,
 )
 from repro.core.engine.reference import ReferenceEngine
-from repro.core.engine.sparse import SparseEngine
 from repro.core.engine.trace import (BatchTrace, ExecutionTrace, LayerTrace,
                                      TraceMerge)
 from repro.core.engine.vectorized import VectorizedEngine
@@ -52,13 +48,11 @@ from repro.core.engine.vectorized import VectorizedEngine
 __all__ = [
     "BatchTrace",
     "CalibrationTable",
-    "EngineThresholds",
     "ExecutionEngine",
     "ExecutionTrace",
     "LayerTrace",
     "TraceMerge",
     "ReferenceEngine",
-    "SparseEngine",
     "VectorizedEngine",
     "available_backends",
     "calibrate_deployment",
@@ -72,7 +66,6 @@ __all__ = [
     "network_fingerprint",
     "register_engine",
     "resolve_backend",
-    "thresholds_for",
     "warm_compile",
     "warm_engine",
 ]

@@ -10,11 +10,12 @@ objects.  Two backends ship with the repo —
 * ``reference`` — the shift-register/adder-array hardware model, bit- and
   cycle-faithful to the paper's microarchitecture (slow, per-image);
 * ``vectorized`` — whole-batch numpy tensor ops with the identical
-  integer semantics and trace accounting (fast, for sweeps and serving).
+  integer semantics and trace accounting (fast, for sweeps and serving;
+  ``sparse`` is another name for it).
 
-Backends register themselves under a short name; :func:`create_engine`
-resolves a name (or an :class:`ExecutionEngine` subclass) to an instance
-bound to a compiled model.  The equivalence suite pins both backends to
+Backends register themselves under a short name and any aliases;
+:func:`create_engine` resolves a name (or an :class:`ExecutionEngine`
+subclass) to an instance bound to a compiled model.  The equivalence suite pins both backends to
 bit-identical logits and identical traces, so callers may switch freely.
 """
 
@@ -44,6 +45,8 @@ class ExecutionEngine(abc.ABC):
 
     #: Registry name of the backend (subclasses override).
     name: str = "abstract"
+    #: Further names that select this same backend.
+    aliases: tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -112,11 +115,13 @@ _ENGINES: dict[str, type[ExecutionEngine]] = {}
 
 
 def register_engine(cls: type[ExecutionEngine]) -> type[ExecutionEngine]:
-    """Class decorator: make a backend selectable by its ``name``."""
+    """Class decorator: make a backend selectable by its ``name`` and
+    its ``aliases``."""
     if not cls.name or cls.name == "abstract":
         raise ConfigurationError(
             f"engine {cls.__name__} must define a registry name")
-    _ENGINES[cls.name] = cls
+    for name in (cls.name,) + tuple(cls.aliases):
+        _ENGINES[name] = cls
     return cls
 
 

@@ -1,33 +1,30 @@
-"""Measured sparsity crossovers: calibrate, persist, route.
+"""Measured deployment constants: calibrate, persist, install.
 
-The sparse engine's speed hinges on three guesses: the batch density
-above which a whole batch runs faster on the dense kernels
-(``DEFAULT_ROUTE_DENSITY``), the per-hook density above which
-gather/scatter loses to the dense kernel (``DEFAULT_DENSE_FALLBACK``),
-and the byte ratio below which COO wire frames beat raw buffers.  All
-three crossovers depend on the *deployed model* (layer geometry, kernel
-sizes, batch shapes) and on the host — not on anything a constant can
-know.  This module makes them measured:
+Two figures the host-side runtime would otherwise guess depend on the
+deployed model and on the host: the byte ratio below which COO wire
+frames beat raw buffers, and the per-unit fabric dispatch cost the
+saturation-aware shard sizer amortizes.  This module makes them
+measured:
 
-* :func:`calibrate_deployment` runs a few probe batches per layer/hook
-  through the sparse and dense code paths, times both, and fits the
-  density where they cross.  The result is a :class:`CalibrationTable`
-  persisted in the artifact store **keyed by the warm cache's**
-  :func:`~repro.core.engine.cache.content_key`, so the table travels
-  with the compiled model it describes.
-* :func:`thresholds_for` is the engine-side lookup:
-  :class:`~repro.core.engine.sparse.SparseEngine` consults it at
-  construction time, falling back to the historical constants when no
-  table exists.  Thresholds only move *where* a batch or a hook
-  switches strategy — both strategies return the exact same integers,
-  so calibration can never change a bit.
-* :func:`install_table` also wires the measured COO byte ratio into
-  :mod:`repro.runtime.codec` (unless pinned by ``REPRO_COO_RATIO``).
+* :func:`calibrate_deployment` times COO and raw frame round trips on
+  probe batches across a density ladder (and, on request, a one-lane
+  process round trip), fits the crossover, and persists a
+  :class:`CalibrationTable` in the artifact store **keyed by the warm
+  cache's** :func:`~repro.core.engine.cache.content_key`, so the table
+  travels with the compiled model it describes;
+* :func:`install_table` registers a table process-wide and wires its
+  COO byte ratio into :mod:`repro.runtime.codec` (unless pinned by
+  ``REPRO_COO_RATIO``); :func:`lookup_table` is how the sweep driver
+  finds a deployment's dispatch cost.
+
+Neither figure can change an output bit: the codec round-trips either
+representation exactly, and shard sizes only move scheduling.  The
+engine needs no calibration: it skips silent images by a per-image
+spike count that is exact, not by a measured threshold.
 
 Probe batches are event-style frames (one bright blob on a dark plane,
-optionally fully silent frames) because that is the workload whose
-zeros this whole engine exists to skip; densities are realized nonzero
-fractions, the same metric the runtime gates test.
+optionally fully silent frames); densities are realized nonzero
+fractions.
 """
 
 from __future__ import annotations
@@ -42,17 +39,12 @@ import numpy as np
 
 from repro.core.calibration import DEFAULT_LATENCY, LatencyCalibration
 from repro.core.config import AcceleratorConfig
-from repro.core.engine.cache import content_key, warm_compile
-from repro.core.engine.vectorized import VectorizedEngine
-from repro.nn import functional as F
+from repro.core.engine.cache import content_key
 
 __all__ = [
     "CalibrationTable",
     "DEFAULT_COO_RATIO",
-    "DEFAULT_DENSE_FALLBACK",
     "DEFAULT_DISPATCH_COST_S",
-    "DEFAULT_ROUTE_DENSITY",
-    "EngineThresholds",
     "calibrate_deployment",
     "calibration_store_key",
     "clear_calibration_tables",
@@ -61,13 +53,9 @@ __all__ = [
     "lookup_table",
     "measure_dispatch_cost",
     "probe_batch",
-    "thresholds_for",
 ]
 
-#: The historical constants — what every engine uses when no table
-#: exists.  Calibration replaces them with measurements, per deployment.
-DEFAULT_DENSE_FALLBACK = 0.85     # per-hook gather -> dense crossover
-DEFAULT_ROUTE_DENSITY = 0.25      # sparse: batches denser go vectorized
+#: What the codec uses when no table exists.
 DEFAULT_COO_RATIO = 0.9           # codec: COO wins below this byte ratio
 
 
@@ -89,18 +77,13 @@ _PROBE_DENSITIES = (0.02, 0.05, 0.1, 0.25, 0.5, 0.7, 0.9)
 # ----------------------------------------------------------------------
 @dataclass
 class CalibrationTable:
-    """Measured crossovers for one deployment (one ``content_key``).
+    """Measured constants for one deployment (one ``content_key``).
 
-    Densities are nonzero fractions in the metric each runtime gate
-    tests: im2col patch-row activity for conv hooks, active-tap fraction
-    for linear hooks, element density for batch routing.
-    ``probes`` keeps the raw (density, sparse_s, dense_s) points for the
+    ``probes`` keeps the raw (byte ratio, coo_s, raw_s) points for the
     record; nothing reads them back.
     """
 
     content_key: str
-    backend_crossover: float = DEFAULT_ROUTE_DENSITY
-    hook_crossovers: dict = field(default_factory=dict)  # "layer:kind" ->
     coo_ratio: float = DEFAULT_COO_RATIO
     dispatch_cost_s: float | None = None
     probe_images: int = 0
@@ -110,8 +93,6 @@ class CalibrationTable:
     def to_dict(self) -> dict:
         return {
             "content_key": self.content_key,
-            "backend_crossover": self.backend_crossover,
-            "hook_crossovers": dict(self.hook_crossovers),
             "coo_ratio": self.coo_ratio,
             "dispatch_cost_s": self.dispatch_cost_s,
             "probe_images": self.probe_images,
@@ -122,12 +103,10 @@ class CalibrationTable:
     @classmethod
     def from_dict(cls, payload: dict) -> "CalibrationTable":
         """Load a stored table; keys no longer measured (an older
-        table's popcount crossover) are ignored."""
+        table's routing, per-layer and popcount crossovers) are
+        ignored."""
         return cls(
             content_key=payload["content_key"],
-            backend_crossover=float(payload["backend_crossover"]),
-            hook_crossovers={k: float(v) for k, v in
-                             payload.get("hook_crossovers", {}).items()},
             coo_ratio=float(payload["coo_ratio"]),
             dispatch_cost_s=(None if payload.get("dispatch_cost_s") is None
                              else float(payload["dispatch_cost_s"])),
@@ -135,20 +114,6 @@ class CalibrationTable:
             densities=tuple(payload.get("densities", ())),
             probes=payload.get("probes", {}),
         )
-
-
-@dataclass(frozen=True)
-class EngineThresholds:
-    """What an engine instance actually consults — table or defaults."""
-
-    dense_fallback: float = DEFAULT_DENSE_FALLBACK
-    route_density: float = DEFAULT_ROUTE_DENSITY
-    by_layer: dict = field(default_factory=dict)  # "layer:kind" -> density
-    calibrated: bool = False
-
-    def for_layer(self, name: str, kind: str) -> float:
-        return float(self.by_layer.get(f"{name}:{kind}",
-                                       self.dense_fallback))
 
 
 _LOCK = threading.Lock()
@@ -162,41 +127,19 @@ def calibration_store_key(key: str) -> str:
 
 
 def install_table(table: CalibrationTable) -> None:
-    """Register a table process-wide and wire it into the hot paths.
+    """Register a table process-wide and wire it into the codec.
 
-    Engines constructed afterwards for the table's ``content_key`` pick
-    up its thresholds, and engines already sitting in the warm cache
-    for that key are refreshed in place (via ``apply_thresholds``) — so
-    ``repro calibrate`` reaches a long-running server without a
-    redeploy.  The codec ratio is process-global, so the most recently
-    installed table wins — ``REPRO_COO_RATIO`` pins it regardless.
+    The codec ratio is process-global, so the most recently installed
+    table wins — ``REPRO_COO_RATIO`` pins it regardless.
     """
     with _LOCK:
         _TABLES[table.content_key] = table
         _MISSING.discard(table.content_key)
-    _refresh_warm_engines(table)
     try:
         from repro.runtime import codec
     except Exception:                      # codec layer optional here
         return
     codec.set_coo_ratio(table.coo_ratio)
-
-
-def _refresh_warm_engines(table: CalibrationTable) -> None:
-    """Push a table's thresholds into already-cached warm engines."""
-    from repro.core.engine import cache as engine_cache
-
-    with engine_cache._LOCK:
-        matching = [engine for key, engine
-                    in engine_cache._ENGINES.items()
-                    if key.split(":", 1)[-1] == table.content_key]
-    if not matching:
-        return
-    thresholds = _table_thresholds(table)
-    for engine in matching:
-        apply = getattr(engine, "apply_thresholds", None)
-        if apply is not None:
-            apply(thresholds)
 
 
 def lookup_table(key: str, store=None) -> CalibrationTable | None:
@@ -240,31 +183,6 @@ def clear_calibration_tables() -> None:
         _MISSING.clear()
 
 
-def thresholds_for(compiled, calibration: LatencyCalibration = DEFAULT_LATENCY,
-                   ) -> EngineThresholds:
-    """The thresholds an engine for ``compiled`` should run with.
-
-    Looks the deployment's table up by the warm cache's three-part
-    ``content_key(network, config, calibration)`` — the exact key
-    :func:`~repro.core.engine.cache.warm_engine` uses — and falls back
-    to the historical constants when none exists.
-    """
-    key = content_key(compiled.network, compiled.config, calibration)
-    table = lookup_table(key)
-    if table is None:
-        return EngineThresholds()
-    return _table_thresholds(table)
-
-
-def _table_thresholds(table: CalibrationTable) -> EngineThresholds:
-    return EngineThresholds(
-        dense_fallback=DEFAULT_DENSE_FALLBACK,
-        route_density=table.backend_crossover,
-        by_layer=dict(table.hook_crossovers),
-        calibrated=True,
-    )
-
-
 # ----------------------------------------------------------------------
 # Probe inputs and crossover fitting
 # ----------------------------------------------------------------------
@@ -274,8 +192,8 @@ def event_silent_frac(density: float) -> float:
     Address-event sensors emit nothing between events, so the sparser
     the stream the more frames are entirely empty: three quarters of
     the frames at the sparsest probes, tapering to none by 25% density.
-    Probes and benches share this prior so the calibrated crossovers
-    describe the workloads they are later asked to route.
+    Probes and benches share this prior so calibration and benchmarks
+    see the same event workloads.
     """
     return max(0.0, min(0.75, 1.0 - 4.0 * density))
 
@@ -290,8 +208,7 @@ def probe_batch(shape, density: float, batch: int,
     for the requested pixel density; ``silent_frac`` of the frames are
     fully silent, mirroring address-event streams between events — it
     defaults to :func:`event_silent_frac` of the target density.  The
-    realized density is ``count_nonzero / size`` — the same metric the
-    runtime gates and the sparse engine's batch router measure.
+    realized density is ``count_nonzero / size``.
     """
     shape = tuple(shape)
     h, w = shape[-2], shape[-1]
@@ -324,171 +241,37 @@ def _best_time(fn, rounds: int) -> float:
 
 
 def _crossover(points: list[tuple[float, float, float]]) -> float:
-    """Density where the dense path starts winning.
+    """Byte ratio where raw frames start beating COO frames.
 
-    ``points`` are ``(density, sparse_s, dense_s)``.  The fit picks the
-    threshold that minimizes total routing regret over the probe set:
-    every candidate boundary (below the first probe, between each
-    consecutive pair, and 1.0) is scored by the wall clock a router
-    using it would save versus the engine it routes away from, and the
+    ``points`` are ``(ratio, coo_s, raw_s)``.  The fit picks the
+    threshold that minimizes total regret over the probe set: every
+    candidate boundary (below the first probe, between each consecutive
+    pair, and 1.0) is scored by the wall clock a codec using it would
+    save versus the representation it switches away from, and the
     best-scoring boundary wins.  A single noisy probe therefore only
     shifts the fit if its margin outweighs everything the rest of the
     probes agree on — unlike a walk-to-first-crossing, which one bad
-    point at the sparse end can pin to ~0.  All-sparse-wins fits 1.0
-    (never fall back); dense-wins-everywhere fits below the first probe.
+    point at the low end can pin to ~0.  All-COO-wins fits 1.0;
+    raw-wins-everywhere fits below the first probe; no probe at all
+    keeps :data:`DEFAULT_COO_RATIO`.
     """
     points = sorted(points)
     if not points:
-        return DEFAULT_DENSE_FALLBACK
+        return DEFAULT_COO_RATIO
     candidates = [points[0][0] / 2.0]
     candidates += [(lo[0] + hi[0]) / 2.0
                    for lo, hi in zip(points, points[1:])]
     candidates.append(1.0)
 
     def saved(threshold: float) -> float:
-        return sum((dense_s - sparse_s) if density <= threshold
-                   else (sparse_s - dense_s)
-                   for density, sparse_s, dense_s in points)
+        return sum((raw_s - coo_s) if ratio <= threshold
+                   else (coo_s - raw_s)
+                   for ratio, coo_s, raw_s in points)
 
-    # Ties break toward the higher threshold (prefer the sparse path
-    # when the probes cannot tell the difference — it is the one whose
-    # win depends on the workload the probes were drawn from).
+    # Ties break toward the higher threshold (prefer COO when the
+    # probes cannot tell the difference — its win depends on the
+    # workload the probes were drawn from).
     return float(max(candidates, key=lambda t: (saved(t), t)))
-
-
-class _CaptureEngine(VectorizedEngine):
-    """Vectorized run that records every hook's real inputs.
-
-    One pass per probe density yields, for each layer, the exact tensor
-    the sparse engine's hook would see — so both strategies are timed on
-    identical inputs, layer by layer.
-    """
-
-    name = "capture-probe"                 # never registered
-
-    def __init__(self, compiled, calibration) -> None:
-        super().__init__(compiled, calibration)
-        self.records: list[tuple[str, object, np.ndarray]] = []
-
-    def _conv_acc(self, program, x):
-        self.records.append(("conv", program, x))
-        return super()._conv_acc(program, x)
-
-    def _linear_acc(self, program, x):
-        self.records.append(("linear", program, x))
-        return super()._linear_acc(program, x)
-
-
-def _forced_sparse(compiled, calibration):
-    """A SparseEngine that never falls back (crossovers pinned to 1.0)."""
-    from repro.core.engine.sparse import SparseEngine
-
-    engine = SparseEngine(compiled, calibration)
-    engine.apply_thresholds(EngineThresholds(
-        dense_fallback=1.0, route_density=1.0, by_layer={}))
-    return engine
-
-
-def _conv_row_density(spec, x: np.ndarray) -> float | None:
-    """The runtime gate's metric: im2col patch-row activity of ``x``."""
-    live = x.reshape(x.shape[0], -1).any(axis=1)
-    if not live.any():
-        return None
-    xs = x if live.all() else x[live]
-    cols = F.im2col(xs.astype(np.float64), spec.kernel_size,
-                    spec.stride, spec.padding)
-    return float(cols.reshape(-1, cols.shape[-1]).any(axis=1).mean())
-
-
-def _linear_tap_density(x: np.ndarray) -> float | None:
-    live = x.any(axis=1)
-    if not live.any():
-        return None
-    xs = x if live.all() else x[live]
-    return float(xs.any(axis=0).mean())
-
-
-def _probe_hooks(compiled, calibration, batches: dict, rounds: int,
-                 ) -> tuple[dict, dict]:
-    """Per-layer crossovers from timed hook probes."""
-    dense = VectorizedEngine(compiled, calibration)
-    forced = _forced_sparse(compiled, calibration)
-    layer_points: dict[str, list] = {}
-    for images in batches.values():
-        capture = _CaptureEngine(compiled, calibration)
-        capture.run_batch(images)
-        for kind, program, x in capture.records:
-            if kind == "conv":
-                metric = _conv_row_density(program.spec, x)
-                sparse_fn = forced._conv_acc
-                dense_fn = dense._conv_acc
-            else:
-                metric = _linear_tap_density(x)
-                sparse_fn = forced._linear_acc
-                dense_fn = dense._linear_acc
-            if metric is None:
-                continue
-            label = f"{program.name}:{kind}"
-            layer_points.setdefault(label, []).append((
-                metric,
-                _best_time(lambda: sparse_fn(program, x), rounds),
-                _best_time(lambda: dense_fn(program, x), rounds)))
-    hook_crossovers = {label: round(_crossover(points), 4)
-                       for label, points in layer_points.items()}
-    raw = {"hooks": {label: [[round(d, 4), s, t] for d, s, t in points]
-                     for label, points in layer_points.items()}}
-    return hook_crossovers, raw
-
-
-def _probe_backends(compiled, calibration, batches: dict, rounds: int,
-                    hook_crossovers: dict) -> tuple[float, list]:
-    """End-to-end crossover: calibrated sparse hooks vs dense, per density.
-
-    The sparse engine is timed with batch routing off (``route_density``
-    1.0): routing is what this probe calibrates, and left on it would
-    time dense probes on the vectorized engine against itself.
-    """
-    from repro.core.engine.sparse import SparseEngine
-
-    dense = VectorizedEngine(compiled, calibration)
-    sparse = SparseEngine(compiled, calibration)
-    sparse.apply_thresholds(EngineThresholds(
-        route_density=1.0, by_layer=dict(hook_crossovers),
-        calibrated=True))
-    points = []
-    for images in batches.values():
-        density = float(np.count_nonzero(images) / images.size)
-        # Full-batch warm-up: the first full-size run pays one-off
-        # allocation and code-path costs that min-of-rounds must not
-        # attribute to whichever engine ran first.
-        sparse.run_batch(images)
-        dense.run_batch(images)
-        # Interleave the timing rounds so clock drift (thermal
-        # throttle, a neighbour's cache pressure) hits both engines
-        # alike, and alternate the order so neither always inherits
-        # the other's cache state.  Each round is a *paired* sample —
-        # both engines timed back to back — and the point's verdict is
-        # the median of the per-round ratios: min-of-rounds compares
-        # each engine's luckiest moment, which near the crossover flips
-        # the winner whenever one engine catches a quiet slice of a
-        # noisy host, and a flipped point moves the routing threshold.
-        samples = {"sparse": [], "dense": []}
-        pair = [("sparse", sparse), ("dense", dense)]
-        for round_index in range(max(rounds, 1)):
-            ordered = pair if round_index % 2 == 0 else pair[::-1]
-            for label, engine in ordered:
-                samples[label].append(_best_time(
-                    lambda e=engine: e.run_batch(images), 1))
-        ratio = float(np.median([d / s for s, d in
-                                 zip(samples["sparse"],
-                                     samples["dense"])]))
-        sparse_s = float(np.median(samples["sparse"]))
-        # Report the dense time consistently with the paired verdict:
-        # the medians of the two series can disagree with the median
-        # ratio on a drifting clock, and _crossover must see the same
-        # winner the pairing saw.
-        points.append((density, sparse_s, sparse_s * ratio))
-    return _crossover(points), [[round(d, 4), s, t] for d, s, t in points]
 
 
 def _probe_codec(batches: dict, rounds: int) -> tuple[float, list]:
@@ -582,10 +365,10 @@ def calibrate_deployment(
 
     Returns ``(table, cached)``: ``cached`` is True when the table was
     served from the artifact store instead of re-measured.  Either way
-    the table is installed process-wide, so engines constructed next for
-    this deployment run calibrated.  ``measure_dispatch`` additionally
-    times a one-lane process round trip (forks a worker; a second or
-    two) for the sweep driver's saturation-aware shard sizing.
+    the table is installed process-wide.  ``measure_dispatch``
+    additionally times a one-lane process round trip (forks a worker; a
+    second or two) for the sweep driver's saturation-aware shard
+    sizing.
     """
     if store is None:
         from repro.harness.artifacts import default_store
@@ -602,28 +385,21 @@ def calibrate_deployment(
     batch = batch or (16 if fast else 32)
     rounds = rounds or (6 if fast else 8)
     rng = rng or np.random.default_rng(0)
-    compiled = warm_compile(network, config)
     batches = {d: probe_batch(network.input_shape, d, batch, rng)
                for d in densities}
 
-    hook_crossovers, raw = _probe_hooks(
-        compiled, calibration, batches, rounds)
-    backend_crossover, backend_points = _probe_backends(
-        compiled, calibration, batches, rounds, hook_crossovers)
     coo_ratio, codec_points = _probe_codec(batches, rounds)
     dispatch = (measure_dispatch_cost(network, config, calibration)
                 if measure_dispatch else None)
 
     table = CalibrationTable(
         content_key=key,
-        backend_crossover=round(backend_crossover, 4),
-        hook_crossovers=hook_crossovers,
         coo_ratio=round(coo_ratio, 4),
         dispatch_cost_s=dispatch,
         probe_images=batch,
         densities=tuple(round(float(np.count_nonzero(b) / b.size), 4)
                         for b in batches.values()),
-        probes={**raw, "backend": backend_points, "codec": codec_points},
+        probes={"codec": codec_points},
     )
     store.save_result(skey, table.to_dict())
     install_table(table)

@@ -7,7 +7,7 @@ The same accounting comes in three shapes:
   natively, and every backend's ``run_batch`` returns one per image, so
   the equivalence suite pins every field image by image.
 * :class:`BatchTrace` — one batch in structure-of-arrays form, the
-  native output of the vectorized and sparse engines and the shape the
+  native output of the vectorized engine and the shape the
   runtime ships between processes and hosts.  The cost model
   (:func:`~repro.core.latency.layer_charges`) charges every layer a
   closed-form number of cycles and memory traffic that does not depend

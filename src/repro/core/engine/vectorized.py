@@ -37,16 +37,15 @@ and shared by every batch, and the adder counters fill one ``(N, L)``
 matrix — no per-image or per-layer objects.  ``run_batch`` expands it
 into per-image :class:`~repro.core.engine.trace.ExecutionTrace` records.
 
-The arithmetic itself is factored into four overridable hooks —
-:meth:`VectorizedEngine._conv_acc`, :meth:`~VectorizedEngine._pool_sums`,
-:meth:`~VectorizedEngine._linear_acc` and
-:meth:`~VectorizedEngine._popcount_sum` — so alternative compute
-strategies (see :mod:`repro.core.engine.sparse`) can swap the tensor
-kernels while inheriting every cycle/traffic charge unchanged.  The
-charges are closed-form in the layer geometry (data-independent), so any
-subclass that only overrides the hooks produces identical traces by
-construction; the logits contract is that each hook returns the exact
-integer the dense formula returns.
+Silent images: the accelerator sweeps every spike plane whether or not
+it spikes, so skipping work is purely a host-side speed trick, and the
+one that pays is skipping whole images.  Each layer already reduces its
+input to a per-image weighted spike count for the adder counters; an
+image whose count is zero contributes nothing to that layer's
+accumulator, so the layer's kernel runs on the live images only and a
+silent image keeps its exact bias-only output (the ``sparse`` backend
+name is an alias of this engine).  An all-live batch takes the plain
+dense call.
 """
 
 from __future__ import annotations
@@ -86,6 +85,7 @@ class VectorizedEngine(ExecutionEngine):
     """Batched integer-tensor execution with reference-identical traces."""
 
     name = "vectorized"
+    aliases = ("sparse",)
 
     def run_batch(
         self, images: np.ndarray
@@ -141,12 +141,8 @@ class VectorizedEngine(ExecutionEngine):
             adder_ops=np.zeros((0, len(programs)), dtype=np.int64))
 
     # ------------------------------------------------------------------
-    # Compute hooks: the arithmetic, separable from the trace charges.
-    # Subclasses may override these (and only these) — each must return
-    # the exact integers of the dense formula.  The two GEMM hooks take
-    # the layer program for its cached GemmWeights, which are exact in
-    # any term order, so dropped zero terms and reordering don't change
-    # a single bit.
+    # Kernels: the arithmetic, separable from the trace charges.  The two
+    # GEMM kernels take the layer program for its cached GemmWeights.
     # ------------------------------------------------------------------
     def _conv_acc(self, program: LayerProgram,
                   x: np.ndarray) -> np.ndarray:
@@ -189,17 +185,16 @@ class VectorizedEngine(ExecutionEngine):
         return pops.sum(axis=others, dtype=np.int64) @ weights
 
     # ------------------------------------------------------------------
-    # Layer executors: batched compute + per-image adder activity
+    # Layer executors: per-image adder activity first, then the batched
+    # kernel on the images it shows are live
     # ------------------------------------------------------------------
     def _run_conv(self, program: LayerProgram, x: np.ndarray,
                   t: int) -> tuple[np.ndarray, np.ndarray]:
         spec = program.spec
-        acc = self._conv_acc(program, x) + spec.bias.reshape(1, -1, 1, 1)
-        out = requantize(acc, spec.scales, t, channel_axis=1)
-
         # Adder activity: tap (w, j) reads padded column w*stride + j, so
         # an input spike in column x feeds cover(x) shift cycles, each
-        # driving the kr adder rows of every output channel's slot.
+        # driving the kr adder rows of every output channel's slot.  A
+        # spike in a column no tap reads (cover 0) feeds no output.
         w_in = spec.in_shape[2]
         c_out, _, w_out = spec.out_shape
         kr, kc = spec.kernel_size
@@ -208,28 +203,55 @@ class VectorizedEngine(ExecutionEngine):
             cover[np.arange(w_out) * spec.stride + j] += 1
         inner = cover[spec.padding:spec.padding + w_in]
         spikes = self._popcount_sum(x, t, inner, axis=3)
+
+        acc = (_on_live(self._conv_acc, program, x, spikes > 0,
+                        spec.out_shape)
+               + spec.bias.reshape(1, -1, 1, 1))
+        out = requantize(acc, spec.scales, t, channel_axis=1)
         return out, kr * c_out * spikes
 
     def _run_pool(self, program: LayerProgram, x: np.ndarray,
                   t: int) -> tuple[np.ndarray, np.ndarray]:
         spec = program.spec
-        out = self._pool_sums(spec, x) >> spec.shift
         # The pool unit sums whole rows: a spike in input row r is added
-        # once per output row whose window covers r.
+        # once per output row whose window covers r (and feeds no output
+        # when none does).
         h_in = spec.in_shape[1]
         h_out = spec.out_shape[1]
         cover = np.zeros(h_in, dtype=np.int64)
         for oy in range(h_out):
             cover[oy * spec.stride:oy * spec.stride + spec.size] += 1
-        return out, self._popcount_sum(x, t, cover, axis=2)
+        spikes = self._popcount_sum(x, t, cover, axis=2)
+        sums = _on_live(self._pool_sums, spec, x, spikes > 0,
+                        spec.out_shape)
+        return sums >> spec.shift, spikes
 
     def _run_linear(self, program: LayerProgram, x: np.ndarray,
                     t: int) -> tuple[np.ndarray, np.ndarray]:
         spec = program.spec
-        acc = self._linear_acc(program, x) + spec.bias.reshape(1, -1)
+        spikes = self._popcount_sum(x, t)
+        acc = (_on_live(self._linear_acc, program, x, spikes > 0,
+                        (spec.out_features,))
+               + spec.bias.reshape(1, -1))
         if spec.is_output:
             out = acc
         else:
             out = requantize(acc, spec.scales, t, channel_axis=1)
         # Each input spike gates one add in every parallel output's adder.
-        return out, self._popcount_sum(x, t) * spec.out_features
+        return out, spikes * spec.out_features
+
+
+def _on_live(kernel, layer, x: np.ndarray, live: np.ndarray,
+             out_shape) -> np.ndarray:
+    """``kernel(layer, x)`` computed for the images ``live`` marks only.
+
+    The other images' rows are zeros, exactly what the kernel returns
+    for an input with no spike it reads; an all-live batch is one plain
+    call.
+    """
+    if live.all():
+        return kernel(layer, x)
+    out = np.zeros((x.shape[0],) + tuple(out_shape), dtype=np.int64)
+    if live.any():
+        out[live] = kernel(layer, x[live])
+    return out

@@ -73,17 +73,14 @@ class GemmWeights:
         dtype = np.float32 if self.chunk else np.float64
         return weights.reshape(weights.shape[0], -1).astype(dtype)
 
-    def matmul(self, cols: np.ndarray,
-               taps: np.ndarray | None = None) -> np.ndarray:
-        """``cols @ W[:, taps].T`` as exact int64, ``(M, C_out)``.
+    def matmul(self, cols: np.ndarray) -> np.ndarray:
+        """``cols @ W.T`` as exact int64, ``(M, C_out)``.
 
-        ``cols`` is ``(M, K')`` integer-valued activations (any numeric
-        dtype); ``taps`` optionally selects the ``K'`` weight columns
-        they line up with.
+        ``cols`` is ``(M, K)`` integer-valued activations (any numeric
+        dtype).
         """
-        matrix = self.matrix
-        weights = matrix if taps is None else matrix[:, taps]
-        cols = cols.astype(matrix.dtype, copy=False)
+        weights = self.matrix
+        cols = cols.astype(weights.dtype, copy=False)
         k = cols.shape[1]
         step = self.chunk or k
         if k <= step:

@@ -26,7 +26,7 @@ reasonable time.
 One closed form prices every layer: :func:`layer_charges` returns a
 layer's cycles, DRAM stream cycles and memory traffic.
 :class:`LatencyModel` reads it from the layer specs, with no compiled
-program, and the ``vectorized`` and ``sparse`` engines build their
+program, and the ``vectorized`` engine builds its
 per-layer charge table from it.  The ``reference`` engine's unit models
 charge their own loops instead, one register shift at a time; the tests
 hold those charges equal to this closed form layer by layer.

@@ -188,14 +188,14 @@ class ExperimentRunner:
     def calibrate_model(self, spec: str = "lenet:3", *,
                         force: bool = False,
                         measure_dispatch: bool = False, **kwargs):
-        """Measure (or reload) a model's sparsity calibration table.
+        """Measure (or reload) a model's calibration table.
 
         Resolves ``spec`` like every other deployment entry point, then
         runs :func:`~repro.core.engine.calibrate.calibrate_deployment`
         against this runner's artifact store under the exact
         ``AcceleratorConfig.for_network`` config the sweeps and servers
         deploy — so the persisted table's ``content_key`` is the one
-        their warm engines look up.  Returns ``(canonical name, snn,
+        the sweep driver looks up.  Returns ``(canonical name, snn,
         table, cached)``.
         """
         from repro.core.engine.calibrate import calibrate_deployment

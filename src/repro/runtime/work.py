@@ -95,7 +95,8 @@ class Deployment:
 
     @cached_property
     def fingerprint(self) -> str:
-        """Content fingerprint: the warm-cache key plus the backend name.
+        """Content fingerprint: the warm-cache key plus the backend name
+        (an alias such as ``sparse`` reads as the engine it names).
 
         Two deployments with the same fingerprint produce bit-identical
         results by the warm-cache contract — the registry and the group
@@ -106,9 +107,11 @@ class Deployment:
         hash over a VGG's weights is paid once per instance even though
         the dataclass is frozen.)
         """
-        from repro.core.engine.cache import content_key  # avoid cycle
+        from repro.core.engine.base import resolve_backend  # avoid cycle
+        from repro.core.engine.cache import content_key
 
-        return f"{self.backend}:{content_key(self.network, self.config, self.calibration)}"
+        backend = resolve_backend(self.backend).name
+        return f"{backend}:{content_key(self.network, self.config, self.calibration)}"
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@
 seed from the test's node id, so a failure always reproduces by re-running
 that test — and ``REPRO_TEST_SEED=<n>`` forces one global seed to explore
 other draws.  ``fabric_leak_check`` fails a fabric test that leaves
-worker-group threads, child processes or shm segments behind.
+worker-group threads, child processes, shm segments or open file
+descriptors behind.
 """
 
 import os
@@ -35,6 +36,26 @@ def seed_for(name: str) -> int:
 def rng(request) -> np.random.Generator:
     """Per-test deterministic numpy Generator for stochastic tests."""
     return np.random.default_rng(seed_for(request.node.nodeid))
+
+
+def _open_fds() -> dict[int, str]:
+    """This process's open file descriptors and what each points at,
+    less the resource tracker's pipe (a process-wide singleton, like the
+    tracker process itself)."""
+    fds = {}
+    try:
+        entries = os.listdir("/proc/self/fd")
+    except OSError:
+        return fds
+    tracker = getattr(resource_tracker._resource_tracker, "_fd", None)
+    for entry in entries:
+        if int(entry) == tracker:
+            continue
+        try:
+            fds[int(entry)] = os.readlink(f"/proc/self/fd/{entry}")
+        except OSError:
+            continue            # the listing's own descriptor, now closed
+    return fds
 
 
 def _fabric_resources() -> tuple[set, set, set]:
@@ -74,19 +95,27 @@ def _fabric_resources() -> tuple[set, set, set]:
 
 @pytest.fixture
 def fabric_leak_check():
-    """Fail a test that leaves fabric threads, child processes or shm
-    segments behind (after a bounded poll for orderly shutdowns)."""
+    """Fail a test that leaves fabric threads, child processes, shm
+    segments or more open file descriptors than it found behind (after
+    a bounded poll for orderly shutdowns)."""
     before = _fabric_resources()
+    fds_before = _open_fds()
     yield
     deadline = time.monotonic() + 5.0
     while True:
         leaked = [now - then for now, then
                   in zip(_fabric_resources(), before)]
-        if not any(leaked) or time.monotonic() > deadline:
+        fds = _open_fds()
+        extra_fds = len(fds) - len(fds_before)
+        if (not any(leaked) and extra_fds <= 0) \
+                or time.monotonic() > deadline:
             break
         time.sleep(0.05)
     threads, children, segments = leaked
-    if threads or children or segments:
+    if threads or children or segments or extra_fds > 0:
+        new_fds = sorted(target for fd, target in fds.items()
+                         if fds_before.get(fd) != target)
         pytest.fail(f"fabric leak: {len(threads)} repro-runtime thread(s), "
                     f"child pid(s) {sorted(children)}, shm segment(s) "
-                    f"{sorted(segments)}")
+                    f"{sorted(segments)}, {max(extra_fds, 0)} more open "
+                    f"file descriptor(s) {new_fds}")

@@ -3,13 +3,15 @@
 The contracts pinned here:
 
 * the ``np.bitwise_count`` popcount equals the ``T``-step shift loop it
-  replaced for every ``T`` in 1..16, elementwise and through the one
-  ``_popcount_sum`` every engine runs, on mostly-zero tensors with a
-  silent image and saturated entries;
+  replaced for every ``T`` in 1..16, elementwise and through the
+  vectorized engine's ``_popcount_sum`` (whose per-image sums also pick
+  the images each layer's kernel runs on), on mostly-zero tensors with
+  a silent image and saturated entries;
 * a :class:`TraceMerge` table's per-layer rows sum exactly to the
   per-image traces' totals, and a :class:`BatchTrace` merges (whole or
   per image) to exactly ``TraceMerge.from_traces(run_batch(...)[1])``
-  on every backend;
+  on the ``reference`` and ``vectorized`` backends (``sparse`` is an
+  alias of ``vectorized``);
 * packing per-image traces rejects data-independent charges that
   differ between images, and merging rejects a different layer program;
 * a sweep result-store entry written with the scalar ``TraceMerge``
@@ -27,8 +29,6 @@ from repro.errors import SimulationError
 from repro.harness import ArtifactStore
 from repro.harness.sweep import SweepDriver, SweepTask
 from repro.models import performance_network
-
-from engine_helpers import UnroutedSparse
 
 #: LeNet-5 "32x32x1 - 6C5 - P2 - 16C5 - P2 - 120C5 - 120 - 84 - 10".
 LENET5 = [("conv", 6, 5, 1, 0), ("pool", 2), ("conv", 16, 5, 1, 0),
@@ -54,7 +54,7 @@ def engines_for(layers, input_shape, num_steps, seed=3):
                               num_steps=num_steps, seed=seed)
     compiled = compile_network(net, AcceleratorConfig.for_network(net))
     engines = [create_engine(backend, compiled)
-               for backend in ("reference", "vectorized", UnroutedSparse)]
+               for backend in ("reference", "vectorized")]
     return net, {engine.name: engine for engine in engines}
 
 
@@ -75,13 +75,11 @@ class TestPopcount:
 
     @pytest.mark.parametrize("num_steps", range(1, 17))
     def test_dense_and_gather_sums_equal_shift_loop(self, rng, num_steps):
-        """``_popcount_sum`` — inherited unchanged by the sparse engine —
-        on mostly-zero tensors with a silent image and saturated
-        entries, weighted along either spatial axis and unweighted."""
+        """``_popcount_sum`` on mostly-zero tensors with a silent image
+        and saturated entries, weighted along either spatial axis and
+        unweighted."""
         _, engines = engines_for(SMALL, (1, 8, 8), 3)
         dense = engines["vectorized"]
-        assert type(engines["sparse"])._popcount_sum is \
-            type(dense)._popcount_sum
         top = (1 << num_steps) - 1
         x = rng.integers(0, top + 1, size=(5, 3, 6, 7)).astype(np.int64)
         x[rng.random(x.shape) < 0.6] = 0

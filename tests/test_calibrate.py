@@ -1,15 +1,14 @@
-"""The calibration subsystem: measured crossovers, persisted and wired.
+"""The calibration subsystem: measured constants, persisted and wired.
 
 Pinned here:
 
-* :class:`CalibrationTable` survives the artifact store round trip, and
-  :func:`calibrate_deployment` persists on first measure then serves
-  the table from the store (``cached=True``) on re-runs;
-* the crossover fit behaves at the edges (sparse always wins, dense
-  always wins, interpolation between probes);
-* a table only moves *where* the sparse engine switches strategy —
-  logits and traces stay bit-identical to the vectorized engine under
-  adversarially extreme thresholds in both directions;
+* :class:`CalibrationTable` survives the artifact store round trip,
+  tables stored by earlier versions (with routing, per-layer and
+  popcount crossovers) still load, and :func:`calibrate_deployment`
+  persists on first measure then serves the table from the store
+  (``cached=True``) on re-runs;
+* the crossover fit behaves at the edges (COO always wins, raw always
+  wins, interpolation between probes);
 * :func:`install_table` wires the measured COO ratio into the codec,
   the ``coo_ratio=`` keyword overrides it per frame;
 * ``SweepDriver(saturate=True)`` changes scheduling only: merged
@@ -24,20 +23,15 @@ from repro.core import AcceleratorConfig
 from repro.core.calibration import DEFAULT_LATENCY
 from repro.core.engine import (
     CalibrationTable,
-    SparseEngine,
-    VectorizedEngine,
     calibrate_deployment,
     calibration_store_key,
     clear_calibration_tables,
     install_table,
     lookup_table,
-    thresholds_for,
-    warm_compile,
 )
 from repro.core.engine.cache import content_key
 from repro.core.engine.calibrate import (
-    DEFAULT_DENSE_FALLBACK,
-    EngineThresholds,
+    DEFAULT_COO_RATIO,
     _crossover,
     probe_batch,
 )
@@ -67,11 +61,9 @@ def _isolated_tables():
 class TestCalibrationTable:
     def test_dict_roundtrip(self):
         table = CalibrationTable(
-            content_key="abc123", backend_crossover=0.31,
-            hook_crossovers={"conv1:conv": 0.7, "fc1:linear": 0.4},
-            coo_ratio=0.8, dispatch_cost_s=1.5e-3,
+            content_key="abc123", coo_ratio=0.8, dispatch_cost_s=1.5e-3,
             probe_images=8, densities=(0.02, 0.5),
-            probes={"backend": [[0.02, 1.0, 2.0]]})
+            probes={"codec": [[0.02, 1.0, 2.0]]})
         restored = CalibrationTable.from_dict(table.to_dict())
         assert restored == table
 
@@ -86,10 +78,33 @@ class TestCalibrationTable:
             "densities": [0.02, 0.5],
             "probes": {"hooks": {}, "popcount": [[0.02, 1.0, 2.0]]}}
         table = CalibrationTable.from_dict(stored)
-        assert table.backend_crossover == 0.31
-        assert table.hook_crossovers == {"conv1:conv": 0.7}
         assert table.coo_ratio == 0.8
-        assert "popcount_gather" not in table.to_dict()
+        for key in ("popcount_gather", "backend_crossover",
+                    "hook_crossovers"):
+            assert key not in table.to_dict()
+
+    def test_loads_a_stored_table_with_routing_crossovers(self):
+        """Tables written while the sparse engine routed batches carry
+        its batch and per-layer crossovers; they load, the codec ratio
+        and dispatch cost survive, and the crossovers are dropped."""
+        stored = {
+            "content_key": "abc123", "backend_crossover": 0.176,
+            "hook_crossovers": {"conv1:conv": 0.41, "conv2:conv": 0.83,
+                                "fc1:linear": 0.3},
+            "coo_ratio": 0.62, "dispatch_cost_s": 0.0021,
+            "probe_images": 16, "densities": [0.02, 0.05, 0.5],
+            "probes": {"hooks": {"conv1:conv": [[0.1, 1.0, 2.0]]},
+                       "backend": [[0.02, 1.0, 2.0]],
+                       "codec": [[0.05, 1.0, 2.0]]}}
+        table = CalibrationTable.from_dict(stored)
+        assert table.content_key == "abc123"
+        assert table.coo_ratio == 0.62
+        assert table.dispatch_cost_s == 0.0021
+        assert table.densities == (0.02, 0.05, 0.5)
+        saved = table.to_dict()
+        assert "backend_crossover" not in saved
+        assert "hook_crossovers" not in saved
+        assert CalibrationTable.from_dict(saved) == table
 
     def test_crossover_fit_edges(self):
         # Sparse wins everywhere: never fall back.
@@ -99,7 +114,7 @@ class TestCalibrationTable:
         # Equal margins either side: crossover at the midpoint.
         fit = _crossover([(0.2, 1.0, 2.0), (0.6, 2.0, 1.0)])
         assert fit == pytest.approx(0.4)
-        assert _crossover([]) == DEFAULT_DENSE_FALLBACK
+        assert _crossover([]) == DEFAULT_COO_RATIO
 
     def test_probe_batch_hits_target_density(self, rng):
         for density in (0.05, 0.3, 0.9):
@@ -108,14 +123,6 @@ class TestCalibrationTable:
             assert realized == pytest.approx(density, rel=0.5)
         silent = probe_batch((1, 16, 16), 0.1, 32, rng, silent_frac=1.0)
         assert not silent.any()
-
-    def test_for_layer_reads_named_layer(self):
-        thresholds = EngineThresholds(by_layer={"conv1:conv": 0.6})
-        assert thresholds.for_layer("conv1", "conv") == 0.6
-        assert thresholds.for_layer("conv1", "linear") == \
-            DEFAULT_DENSE_FALLBACK
-        assert thresholds.for_layer("fc9", "linear") == \
-            DEFAULT_DENSE_FALLBACK
 
 
 class TestCalibrateDeployment:
@@ -131,21 +138,16 @@ class TestCalibrateDeployment:
         key = content_key(net, config, DEFAULT_LATENCY)
         assert table.content_key == key
         assert store.has_result(calibration_store_key(key))
-        assert 0.0 <= table.backend_crossover <= 1.0
         assert 0.1 <= table.coo_ratio <= 1.0
-        for label, crossover in table.hook_crossovers.items():
-            assert 0.0 <= crossover <= 1.0, label
-        assert table.hook_crossovers, "per-layer probes produced nothing"
+        assert table.probes["codec"], "codec probes produced nothing"
 
         # Second run: served from the store, not re-measured.
         clear_calibration_tables()
         again, cached = calibrate_deployment(net, config, store=store)
         assert cached
         assert again == table
-        # ...and installed, so engine thresholds now come from it.
-        thresholds = thresholds_for(warm_compile(net, config))
-        assert thresholds.calibrated
-        assert thresholds.route_density == table.backend_crossover
+        # ...and installed, so the sweep driver's lookup finds it.
+        assert lookup_table(key) is again
 
     def test_force_remeasures(self, rng, tmp_path):
         net = tiny_network(rng)
@@ -167,54 +169,14 @@ class TestCalibrateDeployment:
         assert lookup_table("no-such-key") is table
 
 
-class TestThresholdsOnlyMoveStrategy:
-    """Extreme thresholds in both directions cannot change a bit."""
-
-    def test_sparse_bit_identical_under_extreme_thresholds(self, rng):
-        """Batch routing is off, so every batch reaches the hooks."""
-        net = tiny_network(rng)
-        compiled = warm_compile(net, AcceleratorConfig.for_network(net))
-        shape = tuple(net.input_shape)
-        batches = [probe_batch(shape, d, 6, rng)
-                   for d in (0.0, 0.05, 0.5, 0.95)]
-        dense = VectorizedEngine(compiled)
-        sparse = SparseEngine(compiled)
-        for extreme in (0.0, 1.0):
-            sparse.apply_thresholds(EngineThresholds(
-                dense_fallback=extreme, route_density=1.0, by_layer={}))
-            for images in batches:
-                want_logits, want_traces = dense.run_batch(images)
-                got_logits, got_traces = sparse.run_batch(images)
-                np.testing.assert_array_equal(got_logits, want_logits)
-                for got, want in zip(got_traces, want_traces):
-                    assert got.total_cycles == want.total_cycles
-                    assert got.total_adder_ops == want.total_adder_ops
-
-    def test_installed_table_reaches_new_engines(self, rng):
-        net = tiny_network(rng)
-        config = AcceleratorConfig.for_network(net)
-        compiled = warm_compile(net, config)
-        layer_names = [p.name for p in compiled.programs
-                       if p.kind in ("conv", "linear")]
-        table = CalibrationTable(
-            content_key=content_key(net, config, DEFAULT_LATENCY),
-            backend_crossover=0.42,
-            hook_crossovers={f"{layer_names[0]}:conv": 0.11})
-        install_table(table)
-        engine = SparseEngine(compiled)
-        assert engine.thresholds.calibrated
-        assert engine.thresholds.route_density == 0.42
-        conv_spec = next(p.spec for p in compiled.programs
-                         if p.kind == "conv")
-        linear_spec = next(p.spec for p in compiled.programs
-                           if p.kind == "linear")
-        assert engine._fallback_for(conv_spec) == 0.11
-        # Uncalibrated layers keep the default crossover.
-        assert engine._fallback_for(linear_spec) == \
-            DEFAULT_DENSE_FALLBACK
-
-
 class TestCodecRatioWiring:
+    def test_table_default_matches_codec_default(self):
+        """An uncalibrated table installs the codec's own default, so
+        installing it moves no encoding choice."""
+        assert DEFAULT_COO_RATIO == codec.DEFAULT_COO_RATIO
+        assert CalibrationTable(content_key="k").coo_ratio == \
+            codec.DEFAULT_COO_RATIO
+
     def test_install_table_sets_codec_ratio(self):
         install_table(CalibrationTable(content_key="k", coo_ratio=0.55))
         assert codec.get_coo_ratio() == 0.55

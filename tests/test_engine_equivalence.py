@@ -28,8 +28,6 @@ from repro.errors import ConfigurationError, ShapeError
 from repro.models import performance_network
 from repro.snn import SNNModel
 
-from engine_helpers import UnroutedSparse
-
 TRAFFIC_FIELDS = ("activation_read_bits", "activation_write_bits",
                   "kernel_read_values", "weight_stream_bits")
 
@@ -55,18 +53,17 @@ def assert_traces_identical(ref_trace, vec_trace):
 def run_both(net, config, images):
     """Run a batch on every backend; returns (logits, traces) pairs.
 
-    The ``sparse`` backend (batch routing off, so random batches reach
-    its hooks rather than the vectorized engine) is asserted bit- and
-    trace-identical to the reference inline, so every caller's scenario
-    covers it; the return keeps the historical (reference, vectorized)
-    two-way unpacking.
+    The ``sparse`` backend name is asserted bit- and trace-identical to
+    the reference inline, so every caller's scenario covers it; the
+    return keeps the historical (reference, vectorized) two-way
+    unpacking.
     """
     snn = SNNModel(net)
     results = {}
-    for backend in ("reference", "vectorized", UnroutedSparse):
+    for backend in ("reference", "vectorized", "sparse"):
         accelerator = Accelerator(config, backend=backend)
         accelerator.deploy(snn)
-        results[accelerator.backend] = accelerator.run_logits(images)
+        results[backend] = accelerator.run_logits(images)
     ref_logits, ref_traces = results["reference"]
     sparse_logits, sparse_traces = results["sparse"]
     np.testing.assert_array_equal(ref_logits, sparse_logits)

@@ -1,50 +1,44 @@
-"""Sparsity edge cases: the sparse backend's skip logic must be inert.
+"""Silent-image skipping: the vectorized engine's one skip must be inert.
 
-The sparse engine earns its speed by *not* computing silent spike
-planes — all-zero images, patches no spike touches, dead input taps.
-Each skip is a claim that the skipped work contributes exactly zero,
-and each has an edge where the claim could quietly break (empty live
-masks, dense fallbacks, single-survivor gathers).  Every edge-case test
-here builds a batch that exercises one such edge and asserts
-bit-identical logits and fully identical traces across ``reference``,
-``vectorized`` and ``sparse`` — the last with batch routing pinned off,
-so dense and random batches reach the hooks instead of the vectorized
-engine.
+The vectorized engine earns its speed on event-style inputs by *not*
+computing silent images: each layer runs its kernel only on the images
+whose spike count (the one it already takes for the adder counters) is
+nonzero, and gives the others the exact zero accumulator.  ``sparse``
+is an alias of that engine.  Each edge case here builds a batch that
+exercises one edge of the skip (all silent, partly silent, all live,
+one spike, values that quantize to silence, silence that a bias turns
+live again mid-stack) and asserts bit-identical logits and fully
+identical traces across ``reference``, ``vectorized`` and ``sparse``.
 
-The routing tests pin the batch router itself: it routes exactly at the
-calibrated crossover (sparse hooks at/below, vectorized above), every
-decision lands on ``engine_auto_routed_total{backend=...}``, and a
-mixed-density stream over a thread+process+remote lane mix merges
-bit-identically to a serial ``vectorized`` run.
+``TestOneEngine`` pins the alias itself: both names select one class
+and share one warm engine, and a stream that mixes silent and live
+frames over a thread+process+remote lane mix merges bit-identically to
+a serial run.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core import Accelerator, AcceleratorConfig
-from repro.core.calibration import DEFAULT_LATENCY
 from repro.core.engine import (
-    CalibrationTable,
+    VectorizedEngine,
     available_backends,
-    clear_calibration_tables,
     create_engine,
-    install_table,
+    resolve_backend,
     warm_compile,
+    warm_engine,
 )
-from repro.core.engine.cache import content_key
-from repro.core.engine.calibrate import DEFAULT_DENSE_FALLBACK, probe_batch
-from repro.core.engine.sparse import SparseEngine
+from repro.core.engine.calibrate import probe_batch
 from repro.errors import ConfigurationError, ShapeError
 from repro.models import performance_network
 from repro.runtime import Deployment, WorkItem, WorkerGroup, WorkerServer
 from repro.runtime import create_workers
 from repro.snn import SNNModel
-from repro.telemetry import get_registry
-
-from engine_helpers import UnroutedSparse
 
 
-BACKENDS = ("reference", "vectorized", UnroutedSparse)
+BACKENDS = ("reference", "vectorized", "sparse")
 
 TRAFFIC_FIELDS = ("activation_read_bits", "activation_write_bits",
                   "kernel_read_values", "weight_stream_bits")
@@ -59,7 +53,7 @@ def _assert_all_equal(net, images, num_conv_units=2):
     for backend in BACKENDS:
         accelerator = Accelerator(config, backend=backend)
         accelerator.deploy(snn)
-        outputs[accelerator.backend] = accelerator.run_logits(images)
+        outputs[backend] = accelerator.run_logits(images)
     ref_logits, ref_traces = outputs["reference"]
     for backend in ("vectorized", "sparse"):
         logits, traces = outputs[backend]
@@ -104,14 +98,14 @@ class TestSparsityEdgeCases:
         _assert_all_equal(net, images)
 
     def test_fully_dense_planes(self, rng):
-        """Saturated inputs: the dense-fallback branch must stay exact."""
+        """Saturated inputs: every image live, the plain dense call."""
         net = _net(int(rng.integers(1 << 16)))
         images = np.clip(rng.random((2,) + net.input_shape), 0.5, None)
-        assert images.astype(bool).mean() > DEFAULT_DENSE_FALLBACK
+        assert images.all()
         _assert_all_equal(net, images)
 
     def test_single_active_pixel(self, rng):
-        """One spike in the whole batch: single-row gathers everywhere."""
+        """One spike in the whole batch: one live image of two."""
         net = _net(int(rng.integers(1 << 16)))
         images = np.zeros((2,) + net.input_shape)
         images[0, 0, 3, 4] = 0.9
@@ -136,12 +130,27 @@ class TestSparsityEdgeCases:
         assert (logits == logits[0]).all()
 
     def test_strided_padded_stack_with_sparse_input(self, rng):
-        """Geometry stress: stride/padding offsets in the patch gather."""
+        """Geometry stress: stride/padding offsets in the column cover
+        that decides which images a layer counts as live."""
         net = _net(int(rng.integers(1 << 16)),
                    stack=[("conv", 3, 3, 2, 1), ("conv", 5, 3, 1, 0),
                           ("flatten",), ("linear", 6)])
         images = rng.random((3,) + net.input_shape)
         images[images < 0.8] = 0.0
+        _assert_all_equal(net, images)
+
+    def test_spikes_only_where_no_tap_reads(self, rng):
+        """A 3-wide, stride-2 kernel over 8 columns never reads column 7:
+        an image spiking only there is skipped (its spike count is zero)
+        and must still match the reference, which reads nothing there
+        either."""
+        net = _net(int(rng.integers(1 << 16)),
+                   stack=[("conv", 3, 3, 2, 0), ("flatten",),
+                          ("linear", 6)])
+        images = rng.random((3,) + net.input_shape)
+        images[images < 0.6] = 0.0
+        images[1] = 0.0
+        images[1, :, :, 7] = 0.9
         _assert_all_equal(net, images)
 
     def test_multi_channel_sparse(self, rng):
@@ -152,33 +161,56 @@ class TestSparsityEdgeCases:
         _assert_all_equal(net, images)
 
     def test_sparse_engine_registered(self):
-        from repro.core import available_backends
         assert "sparse" in available_backends()
         accelerator = Accelerator(AcceleratorConfig(), backend="sparse")
-        assert accelerator.backend == "sparse"
+        assert accelerator.backend == "vectorized"
         assert isinstance(accelerator, Accelerator)
 
     def test_sparse_engine_class_selectable(self):
         accelerator = Accelerator(AcceleratorConfig(),
-                                  backend=SparseEngine)
-        assert accelerator.backend == "sparse"
+                                  backend=VectorizedEngine)
+        assert accelerator.backend == "vectorized"
+
+    def test_bias_wakes_silent_frames_after_the_first_layer(self, rng):
+        """Nonzero biases: a silent frame's conv1 output is its
+        requantized bias, so every later layer sees it live.  A skip
+        that carried a frame's silence past its first layer would zero
+        those layers and miss the reference logits and adder counts."""
+        net = _biased(_net(int(rng.integers(1 << 16)), stack=[
+            ("conv", 4, 3, 1, 1), ("pool", 2), ("conv", 6, 3, 1, 1),
+            ("flatten",), ("linear", 12), ("linear", 5)]), rng)
+        images = rng.random((6,) + net.input_shape)
+        images[images < 0.7] = 0.0
+        silent = [0, 2, 5]
+        images[silent] = 0.0
+        compiled = warm_compile(net, AcceleratorConfig.for_network(net))
+        _, batch = create_engine("vectorized", compiled).run_merged(images)
+        adds = [column for column, (_, kind) in enumerate(batch.layers)
+                if kind != "flatten"]
+        assert (batch.adder_ops[silent, 0] == 0).all()
+        assert (batch.adder_ops[silent][:, adds[1:]] > 0).all()
+        _assert_all_equal(net, images)
 
 
-def _routed_total(backend: str) -> float:
-    return get_registry().counter(
-        "engine_auto_routed_total",
-        labelnames=("backend",)).labels(backend=backend).value
+def _biased(net, rng):
+    """``net`` with nonzero conv and linear biases.
+
+    Every conv and hidden linear bias requantizes to 1..3 on its own, so
+    a silent frame's first layer already spikes everywhere; the output
+    layer's biases are signed.
+    """
+    layers = []
+    for spec in net.layers:
+        if spec.kind in ("conv", "linear"):
+            low = -3 if getattr(spec, "is_output", False) else 1
+            levels = rng.integers(low, 4, size=spec.bias.shape)
+            spec = replace(spec, bias=np.rint(levels / spec.scales)
+                           .astype(np.int64))
+        layers.append(spec)
+    return replace(net, layers=tuple(layers))
 
 
-@pytest.fixture
-def isolated_tables():
-    clear_calibration_tables()
-    yield
-    clear_calibration_tables()
-
-
-@pytest.mark.usefixtures("isolated_tables")
-class TestBatchRouting:
+class TestOneEngine:
     def test_three_backends_and_no_auto(self, rng):
         assert available_backends() == ("reference", "sparse", "vectorized")
         net = _net(int(rng.integers(1 << 16)))
@@ -187,58 +219,26 @@ class TestBatchRouting:
                            match="reference, sparse, vectorized"):
             create_engine("auto", compiled)
 
-    def test_routes_at_the_calibrated_crossover(self, rng):
-        net = _net(int(rng.integers(1 << 16)), num_steps=3)
-        config = AcceleratorConfig.for_network(net)
-        install_table(CalibrationTable(
-            content_key=content_key(net, config, DEFAULT_LATENCY),
-            backend_crossover=0.5))
-        compiled = warm_compile(net, config)
-        engine = create_engine("sparse", compiled)
-        dense = create_engine("vectorized", compiled)
-        assert engine.thresholds.route_density == 0.5
-        shape = tuple(net.input_shape)
-        quiet = probe_batch(shape, 0.05, 4, rng)
-        # Above the uncalibrated 0.25, at or below the calibrated 0.5.
-        middle = probe_batch(shape, 0.35, 4, rng)
-        assert 0.25 < np.count_nonzero(middle) / middle.size <= 0.5
-        loud = probe_batch(shape, 0.9, 4, rng)
-
-        sparse_before = _routed_total("sparse")
-        vec_before = _routed_total("vectorized")
-        results = [(engine.run_batch(images), dense.run_batch(images))
-                   for images in (quiet, middle, loud)]
-        assert _routed_total("sparse") == sparse_before + 2
-        assert _routed_total("vectorized") == vec_before + 1
-        for (logits, traces), (want_logits, want_traces) in results:
-            np.testing.assert_array_equal(logits, want_logits)
-            assert traces == want_traces
-        # run_merged routes through the same check.
-        engine.run_merged(loud)
-        assert _routed_total("vectorized") == vec_before + 2
-
-    def test_pinned_engine_never_routes(self, rng):
+    def test_sparse_is_an_alias_of_vectorized(self, rng):
+        assert resolve_backend("sparse") is VectorizedEngine
         net = _net(int(rng.integers(1 << 16)))
-        engine = UnroutedSparse(
-            warm_compile(net, AcceleratorConfig.for_network(net)))
-        dense = np.clip(rng.random((3,) + net.input_shape), 0.5, None)
-        sparse_before = _routed_total("sparse")
-        vec_before = _routed_total("vectorized")
-        engine.run_batch(dense)
-        engine.run_merged(dense)
-        assert _routed_total("vectorized") == vec_before
-        assert _routed_total("sparse") == sparse_before + 2
+        config = AcceleratorConfig.for_network(net)
+        assert (warm_engine(net, config, "sparse")
+                is warm_engine(net, config, "vectorized"))
+        deployments = [Deployment(network=net, config=config,
+                                  backend=backend)
+                       for backend in ("sparse", "vectorized")]
+        assert deployments[0].fingerprint == deployments[1].fingerprint
+        assert deployments[0].engine() is deployments[1].engine()
 
     def test_all_zero_batch_and_check_batch(self, rng):
         net = _net(int(rng.integers(1 << 16)), num_steps=3)
         compiled = warm_compile(net, AcceleratorConfig.for_network(net))
         engine = create_engine("sparse", compiled)
         silent = np.zeros((2,) + tuple(net.input_shape))
-        vec_before = _routed_total("vectorized")
         logits, traces = engine.run_batch(silent)
-        assert _routed_total("vectorized") == vec_before
         want_logits, want_traces = create_engine(
-            "vectorized", compiled).run_batch(silent)
+            "reference", compiled).run_batch(silent)
         np.testing.assert_array_equal(logits, want_logits)
         assert traces == want_traces
         with pytest.raises(ShapeError):
@@ -246,14 +246,14 @@ class TestBatchRouting:
         with pytest.raises(ShapeError):
             engine.run_merged(np.zeros((2, 3, 3)))
 
-    def test_mixed_density_stream_merges_bit_identically(self, rng):
-        """Routed sparse on a thread+process+remote mix == serial
+    @pytest.mark.usefixtures("fabric_leak_check")
+    def test_mixed_silent_stream_merges_bit_identically(self, rng):
+        """``sparse`` on a thread+process+remote mix == serial
         vectorized, logits and merged traces alike."""
         net = _net(int(rng.integers(1 << 16)), num_steps=3)
         config = AcceleratorConfig.for_network(net)
         shape = tuple(net.input_shape)
-        # A mixed-density stream: silent, quiet event frames, and dense
-        # batches interleaved, so the router goes both ways mid-run.
+        # Silent, partly silent, quiet and dense batches interleaved.
         batches = [probe_batch(shape, d, 3, rng, silent_frac=s)
                    for d, s in ((0.02, 0.5), (0.9, 0.0), (0.05, 1.0),
                                 (0.5, 0.0), (0.1, 0.2), (0.8, 0.0))]

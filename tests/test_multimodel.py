@@ -66,6 +66,9 @@ from repro.serve import InferenceServer, LoadGenerator, TcpClient, \
     start_tcp_server
 
 
+pytestmark = pytest.mark.usefixtures("fabric_leak_check")
+
+
 def alpha_network(rng, num_steps=3):
     """A LeNet-flavoured tiny model: (1, 8, 8) in, 5 classes out."""
     return performance_network(

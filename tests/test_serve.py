@@ -61,6 +61,9 @@ from repro.runtime.codec import FRAME_PREFIX_LEN
 from repro.snn import SNNModel
 
 
+pytestmark = pytest.mark.usefixtures("fabric_leak_check")
+
+
 async def read_reply(reader: asyncio.StreamReader) -> dict:
     """One reply frame's payload off a raw asyncio connection."""
     header_len, body_len = parse_frame_prefix(

@@ -40,6 +40,9 @@ from repro.models import performance_network
 from repro.snn import SNNModel
 
 
+pytestmark = pytest.mark.usefixtures("fabric_leak_check")
+
+
 def tiny_network(rng, num_steps=3):
     return performance_network(
         [("conv", 4, 3, 1, 1), ("pool", 2), ("flatten",), ("linear", 5)],
