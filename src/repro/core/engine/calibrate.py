@@ -40,11 +40,12 @@ import numpy as np
 from repro.core.calibration import DEFAULT_LATENCY, LatencyCalibration
 from repro.core.config import AcceleratorConfig
 from repro.core.engine.cache import content_key
+from repro.runtime import codec
+from repro.runtime.codec import DEFAULT_COO_RATIO
 
 __all__ = [
     "CalibrationTable",
     "DEFAULT_COO_RATIO",
-    "DEFAULT_DISPATCH_COST_S",
     "calibrate_deployment",
     "calibration_store_key",
     "clear_calibration_tables",
@@ -54,20 +55,6 @@ __all__ = [
     "measure_dispatch_cost",
     "probe_batch",
 ]
-
-#: What the codec uses when no table exists.
-DEFAULT_COO_RATIO = 0.9           # codec: COO wins below this byte ratio
-
-
-def __getattr__(name: str):
-    # DEFAULT_DISPATCH_COST_S is the fabric's figure and lives in
-    # repro.runtime; re-export it lazily, because the runtime imports
-    # this package while it loads.
-    if name == "DEFAULT_DISPATCH_COST_S":
-        from repro.runtime import DEFAULT_DISPATCH_COST_S
-        return DEFAULT_DISPATCH_COST_S
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 _PROBE_DENSITIES = (0.02, 0.05, 0.1, 0.25, 0.5, 0.7, 0.9)
 
@@ -135,10 +122,6 @@ def install_table(table: CalibrationTable) -> None:
     with _LOCK:
         _TABLES[table.content_key] = table
         _MISSING.discard(table.content_key)
-    try:
-        from repro.runtime import codec
-    except Exception:                      # codec layer optional here
-        return
     codec.set_coo_ratio(table.coo_ratio)
 
 
@@ -276,10 +259,6 @@ def _crossover(points: list[tuple[float, float, float]]) -> float:
 
 def _probe_codec(batches: dict, rounds: int) -> tuple[float, list]:
     """COO-vs-raw byte-ratio crossover on encode+decode round trips."""
-    try:
-        from repro.runtime import codec
-    except Exception:
-        return DEFAULT_COO_RATIO, []
 
     def round_trip(array, ratio):
         frame = codec.encode_frame({}, {"x": array}, coo_ratio=ratio)

@@ -17,9 +17,28 @@ sum of a ``K``-term dot product is an integer bounded by
 :class:`~repro.core.gemm.GemmWeights` (cached on the compiled program,
 built once per process) splits ``K`` into chunks that keep that bound
 within ``2**24``, where float32 is exact, and adds the chunk results in
-int64 — one chunk per layer for the evaluated models.  A layer where a
+float64 — one chunk per layer for the evaluated models.  A layer where a
 single product can exceed ``2**24`` (large ``T``) falls back to one
 float64 GEMM, exact below ``2**53`` as ``SNNModel.forward_ints`` is.
+
+Narrow activations: the paper's datapath holds each activation as a
+``T``-bit radix value, and so does this engine.  Every activation lies
+in ``[0, 2**T - 1]`` — the input quantizer and the requantizer both
+saturate there, and a pool's shifted window sum cannot exceed it — so
+the narrowest unsigned type holding ``2**T - 1`` (``uint8`` for
+``T <= 8``, as in every evaluated model) is exact from the quantized
+input to the last hidden layer; only the logits and the adder counters
+are int64.  Conv and hidden linear layers requantize the GEMM's exact
+``(M, C_out)`` products straight into that type, adding the bias in
+float64 inside :func:`~repro.snn.spec.requantize`: accumulator, bias
+and their sum are integers below ``2**53``, where float64 is exact, so
+the result equals requantizing the int64 ``acc + bias``.  Pool window
+sums are widened before they are added: the slices accumulate in the
+narrowest type holding ``size**2 * (2**T - 1)`` (``uint16`` for a 2x2
+window at T=8, where four saturated inputs already overflow ``uint8``)
+and narrow again after the shift.  The spike popcounts behind the adder
+counters are one float32 matrix-vector product over the narrow tensor
+(float64 when an image's weighted total could pass ``2**24``).
 
 Trace parity: cycle and memory-traffic counters come from
 :func:`~repro.core.latency.layer_charges`, the one closed form that also
@@ -42,10 +61,10 @@ it spikes, so skipping work is purely a host-side speed trick, and the
 one that pays is skipping whole images.  Each layer already reduces its
 input to a per-image weighted spike count for the adder counters; an
 image whose count is zero contributes nothing to that layer's
-accumulator, so the layer's kernel runs on the live images only and a
-silent image keeps its exact bias-only output (the ``sparse`` backend
-name is an alias of this engine).  An all-live batch takes the plain
-dense call.
+accumulator, so the layer's kernel runs on the live images only, and a
+silent image gets the layer's ``requantize(bias)`` row, computed once
+per engine (the ``sparse`` backend name is an alias of this engine).
+An all-live batch takes the plain dense call.
 """
 
 from __future__ import annotations
@@ -58,6 +77,7 @@ import numpy as np
 from repro.core.compiler import LayerProgram
 from repro.core.engine.base import ExecutionEngine, register_engine
 from repro.core.engine.trace import BatchTrace, ExecutionTrace
+from repro.core.gemm import FLOAT32_EXACT
 from repro.core.latency import (
     CHARGE_COLUMNS,
     input_load_cycles,
@@ -98,25 +118,61 @@ class VectorizedEngine(ExecutionEngine):
     ) -> tuple[np.ndarray, BatchTrace]:
         images = self._check_batch(images)
         t = self.compiled.network.num_steps
-        x = radix.quantize_real(images, t)  # (N, C, H, W) int64
+        x = radix.quantize_real(images, t, self._activation_dtype)
         programs = self.compiled.programs
         adder_ops = np.zeros((x.shape[0], len(programs)), dtype=np.int64)
         logits: np.ndarray | None = None
-        for column, program in enumerate(programs):
+        for column, (program, silent) in enumerate(
+                zip(programs, self._silent_outputs)):
             if program.kind == "conv":
-                x, adder_ops[:, column] = self._run_conv(program, x, t)
+                x, adder_ops[:, column] = self._run_conv(program, x, t,
+                                                         silent)
             elif program.kind == "pool":
-                x, adder_ops[:, column] = self._run_pool(program, x, t)
+                x, adder_ops[:, column] = self._run_pool(program, x, t,
+                                                         silent)
             elif program.kind == "flatten":
                 x = x.reshape(x.shape[0], -1)  # no adds: a buffer move
             else:  # linear
-                x, adder_ops[:, column] = self._run_linear(program, x, t)
+                x, adder_ops[:, column] = self._run_linear(program, x, t,
+                                                           silent)
                 if program.spec.is_output:
                     logits = x
         if logits is None:
             raise SimulationError(
                 "compiled model has no output linear layer")
         return logits, replace(self._batch_template, adder_ops=adder_ops)
+
+    @cached_property
+    def _activation_dtype(self) -> np.dtype:
+        """The narrowest integer type holding ``[0, 2**T - 1]``."""
+        return np.min_scalar_type(
+            radix.max_int(self.compiled.network.num_steps))
+
+    @cached_property
+    def _silent_outputs(self) -> tuple:
+        """Per layer, its output for an input with no spike it reads.
+
+        A conv or linear layer then holds only its bias, so the row is
+        ``requantize(bias)`` (the bias itself for the output layer); a
+        pool window sums to zero.  None of it depends on the data, so it
+        is computed once per engine and broadcast into silent images.
+        """
+        rows = []
+        for program in self.compiled.programs:
+            spec = program.spec
+            if program.kind == "flatten":
+                rows.append(None)
+            elif program.kind == "pool":
+                rows.append(np.zeros((), dtype=self._activation_dtype))
+            elif program.kind == "linear" and spec.is_output:
+                rows.append(spec.bias.astype(np.int64))
+            else:
+                row = self._requantize(
+                    spec, np.zeros((1, len(spec.bias)), dtype=np.int64))[0]
+                # A conv row broadcasts over the output plane.
+                rows.append(row.reshape(-1, 1, 1) if program.kind == "conv"
+                            else row)
+        return tuple(rows)
 
     @cached_property
     def _batch_template(self) -> BatchTrace:
@@ -141,31 +197,58 @@ class VectorizedEngine(ExecutionEngine):
             adder_ops=np.zeros((0, len(programs)), dtype=np.int64))
 
     # ------------------------------------------------------------------
-    # Kernels: the arithmetic, separable from the trace charges.  The two
-    # GEMM kernels take the layer program for its cached GemmWeights.
+    # Kernels: one layer's outputs for a batch whose images are all
+    # live.  Conv and hidden linear layers requantize the GEMM's
+    # ``(M, C_out)`` rows directly into activations.
     # ------------------------------------------------------------------
-    def _conv_acc(self, program: LayerProgram,
+    def _requantize(self, spec, acc: np.ndarray) -> np.ndarray:
+        """Bias, ReLU, rescale and saturate ``(M, C_out)`` accumulator
+        rows into narrow activations."""
+        return requantize(acc, spec.scales, self.compiled.network.num_steps,
+                          channel_axis=-1, bias=spec.bias,
+                          dtype=self._activation_dtype)
+
+    def _conv_out(self, program: LayerProgram,
                   x: np.ndarray) -> np.ndarray:
-        """Pre-bias convolution accumulator, ``(N, C_out, H_out, W_out)``."""
+        """Convolution activations, ``(N, C_out, H_out, W_out)``."""
         spec = program.spec
         n = x.shape[0]
         c_out, h_out, w_out = spec.out_shape
         cols = F.im2col(x.astype(program.gemm.dtype), spec.kernel_size,
                         spec.stride, spec.padding)
-        acc = program.gemm.matmul(cols.reshape(-1, cols.shape[-1]))
-        return (acc.reshape(n, h_out * w_out, c_out).transpose(0, 2, 1)
+        out = self._requantize(
+            spec, program.gemm.products(cols.reshape(-1, cols.shape[-1])))
+        return (out.reshape(n, h_out * w_out, c_out).transpose(0, 2, 1)
                 .reshape(n, c_out, h_out, w_out))
 
-    def _pool_sums(self, spec, x: np.ndarray) -> np.ndarray:
-        """Integer window sums (pre-shift), ``(N,) + spec.out_shape``."""
-        return np.rint(
-            F.avg_pool2d(x.astype(np.float64), spec.size, spec.stride)
-            * spec.size * spec.size).astype(np.int64)
+    def _pool_out(self, program: LayerProgram,
+                  x: np.ndarray) -> np.ndarray:
+        """Window sums shifted down, ``(N,) + spec.out_shape``.
 
-    def _linear_acc(self, program: LayerProgram,
+        The sums accumulate in the narrowest type holding a full window,
+        ``size**2 * (2**T - 1)``, one strided slice per window offset.
+        """
+        spec = program.spec
+        _, h_out, w_out = spec.out_shape
+        size, stride = spec.size, spec.stride
+        windows = [x[:, :, i:i + stride * h_out:stride,
+                     j:j + stride * w_out:stride]
+                   for i in range(size) for j in range(size)]
+        sums = windows[0].astype(np.min_scalar_type(
+            size * size * radix.max_int(self.compiled.network.num_steps)))
+        for window in windows[1:]:
+            sums += window
+        sums >>= spec.shift
+        return sums.astype(self._activation_dtype, copy=False)
+
+    def _linear_out(self, program: LayerProgram,
                     x: np.ndarray) -> np.ndarray:
-        """Pre-bias matmul accumulator, ``(N, out_features)``."""
-        return program.gemm.matmul(x)
+        """Hidden activations, or the output layer's int64 logits,
+        ``(N, out_features)``."""
+        spec = program.spec
+        if spec.is_output:
+            return program.gemm.matmul(x) + spec.bias
+        return self._requantize(spec, program.gemm.products(x))
 
     def _popcount_sum(self, x: np.ndarray, t: int,
                       weights: np.ndarray | None = None,
@@ -175,21 +258,33 @@ class VectorizedEngine(ExecutionEngine):
         ``weights`` (if given) is a 1-D integer cover applied along
         ``axis`` of ``x``; with no weights every spike counts once.
         ``t`` is the train length ``x`` was clipped to.
+
+        The sum is one BLAS matrix-vector product of the popcounts with
+        the cover broadcast over an image.  Its terms are nonnegative
+        integers totalling at most ``t * size * max(weights)`` per
+        image, so float32 adds them exactly up to ``2**24``, in any
+        order, and float64 up to ``2**53``.
         """
-        pops = np.bitwise_count(x)  # uint8 per element, exact as _popcount
+        n = x.shape[0]
+        shape = [1] * (x.ndim - 1)
         if weights is None:
-            return pops.reshape(x.shape[0], -1).sum(axis=1, dtype=np.int64)
-        # Reduce every other axis first; the cover then weights one
-        # spike count per position along ``axis``.
-        others = tuple(a for a in range(1, x.ndim) if a != axis)
-        return pops.sum(axis=others, dtype=np.int64) @ weights
+            weights = np.ones(1, dtype=np.int64)
+        else:
+            shape[axis - 1] = -1
+        bound = t * (x.size // n) * int(weights.max())
+        dtype = np.float32 if bound <= FLOAT32_EXACT else np.float64
+        cover = np.broadcast_to(weights.astype(dtype).reshape(shape),
+                                x.shape[1:]).reshape(-1)
+        pops = np.bitwise_count(x).reshape(n, -1).astype(dtype)
+        return (pops @ cover).astype(np.int64)
 
     # ------------------------------------------------------------------
     # Layer executors: per-image adder activity first, then the batched
-    # kernel on the images it shows are live
+    # kernel on the images it shows are live; ``silent`` is the layer's
+    # output for the others
     # ------------------------------------------------------------------
-    def _run_conv(self, program: LayerProgram, x: np.ndarray,
-                  t: int) -> tuple[np.ndarray, np.ndarray]:
+    def _run_conv(self, program: LayerProgram, x: np.ndarray, t: int,
+                  silent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         spec = program.spec
         # Adder activity: tap (w, j) reads padded column w*stride + j, so
         # an input spike in column x feeds cover(x) shift cycles, each
@@ -203,15 +298,12 @@ class VectorizedEngine(ExecutionEngine):
             cover[np.arange(w_out) * spec.stride + j] += 1
         inner = cover[spec.padding:spec.padding + w_in]
         spikes = self._popcount_sum(x, t, inner, axis=3)
-
-        acc = (_on_live(self._conv_acc, program, x, spikes > 0,
-                        spec.out_shape)
-               + spec.bias.reshape(1, -1, 1, 1))
-        out = requantize(acc, spec.scales, t, channel_axis=1)
+        out = _on_live(self._conv_out, program, x, spikes > 0,
+                       spec.out_shape, silent)
         return out, kr * c_out * spikes
 
-    def _run_pool(self, program: LayerProgram, x: np.ndarray,
-                  t: int) -> tuple[np.ndarray, np.ndarray]:
+    def _run_pool(self, program: LayerProgram, x: np.ndarray, t: int,
+                  silent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         spec = program.spec
         # The pool unit sums whole rows: a spike in input row r is added
         # once per output row whose window covers r (and feeds no output
@@ -222,36 +314,31 @@ class VectorizedEngine(ExecutionEngine):
         for oy in range(h_out):
             cover[oy * spec.stride:oy * spec.stride + spec.size] += 1
         spikes = self._popcount_sum(x, t, cover, axis=2)
-        sums = _on_live(self._pool_sums, spec, x, spikes > 0,
-                        spec.out_shape)
-        return sums >> spec.shift, spikes
+        return _on_live(self._pool_out, program, x, spikes > 0,
+                        spec.out_shape, silent), spikes
 
-    def _run_linear(self, program: LayerProgram, x: np.ndarray,
-                    t: int) -> tuple[np.ndarray, np.ndarray]:
+    def _run_linear(self, program: LayerProgram, x: np.ndarray, t: int,
+                    silent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         spec = program.spec
         spikes = self._popcount_sum(x, t)
-        acc = (_on_live(self._linear_acc, program, x, spikes > 0,
-                        (spec.out_features,))
-               + spec.bias.reshape(1, -1))
-        if spec.is_output:
-            out = acc
-        else:
-            out = requantize(acc, spec.scales, t, channel_axis=1)
+        out = _on_live(self._linear_out, program, x, spikes > 0,
+                       (spec.out_features,), silent)
         # Each input spike gates one add in every parallel output's adder.
         return out, spikes * spec.out_features
 
 
-def _on_live(kernel, layer, x: np.ndarray, live: np.ndarray,
-             out_shape) -> np.ndarray:
-    """``kernel(layer, x)`` computed for the images ``live`` marks only.
+def _on_live(kernel, program: LayerProgram, x: np.ndarray,
+             live: np.ndarray, out_shape, silent: np.ndarray) -> np.ndarray:
+    """``kernel(program, x)`` computed for the images ``live`` marks only.
 
-    The other images' rows are zeros, exactly what the kernel returns
-    for an input with no spike it reads; an all-live batch is one plain
-    call.
+    The other images get ``silent``, the layer's output for an input
+    with no spike it reads (broadcast over the image); an all-live batch
+    is one plain call.
     """
     if live.all():
-        return kernel(layer, x)
-    out = np.zeros((x.shape[0],) + tuple(out_shape), dtype=np.int64)
+        return kernel(program, x)
+    out = np.empty((x.shape[0],) + tuple(out_shape), dtype=silent.dtype)
+    out[~live] = silent
     if live.any():
-        out[live] = kernel(layer, x[live])
+        out[live] = kernel(program, x[live])
     return out

@@ -10,10 +10,10 @@ bounded by ``K * (2**T - 1) * max|w|`` whatever order BLAS adds them in.
 float32 holds every integer up to ``2**24``.  :class:`GemmWeights`
 therefore splits ``K`` into chunks of ``2**24 // ((2**T - 1) * max|w|)``
 columns, runs each chunk as a float32 GEMM and adds the chunk results
-in int64.  For the evaluated models (3-bit weights, T <= 6) one chunk
-covers the whole layer.  A layer where even a single product exceeds
-``2**24`` (large ``T``) uses one float64 GEMM instead, exact below
-``2**53``.
+in float64, exact below ``2**53``.  For the evaluated models (3-bit
+weights, T <= 6) one chunk covers the whole layer.  A layer where even
+a single product exceeds ``2**24`` (large ``T``) uses one float64 GEMM
+instead, exact below ``2**53``.
 
 The float weight matrix is built on first use and then kept, so the
 per-batch path does no weight-sized conversion.  It lives on the
@@ -73,20 +73,27 @@ class GemmWeights:
         dtype = np.float32 if self.chunk else np.float64
         return weights.reshape(weights.shape[0], -1).astype(dtype)
 
-    def matmul(self, cols: np.ndarray) -> np.ndarray:
-        """``cols @ W.T`` as exact int64, ``(M, C_out)``.
+    def products(self, cols: np.ndarray) -> np.ndarray:
+        """``cols @ W.T``, ``(M, C_out)``, as exact integers held in
+        float32 (one chunk) or float64.
 
         ``cols`` is ``(M, K)`` integer-valued activations (any numeric
-        dtype).
+        dtype).  Chunk results are exact integers below ``2**24`` and add
+        up exactly in float64, which holds every integer below ``2**53``,
+        so a caller that goes on in floating point (requantization) needs
+        no integer round trip.
         """
         weights = self.matrix
         cols = cols.astype(weights.dtype, copy=False)
         k = cols.shape[1]
         step = self.chunk or k
         if k <= step:
-            return np.rint(cols @ weights.T).astype(np.int64)
-        acc = np.zeros((cols.shape[0], weights.shape[0]), dtype=np.int64)
+            return cols @ weights.T
+        acc = np.zeros((cols.shape[0], weights.shape[0]), dtype=np.float64)
         for lo in range(0, k, step):
-            acc += np.rint(cols[:, lo:lo + step]
-                           @ weights[:, lo:lo + step].T).astype(np.int64)
+            acc += cols[:, lo:lo + step] @ weights[:, lo:lo + step].T
         return acc
+
+    def matmul(self, cols: np.ndarray) -> np.ndarray:
+        """``cols @ W.T`` as exact int64, ``(M, C_out)``."""
+        return self.products(cols).astype(np.int64)

@@ -101,16 +101,20 @@ def decode_ints(train: SpikeTrain) -> np.ndarray:
     return (train.bits.astype(np.int64) * shaped).sum(axis=0)
 
 
-def quantize_real(values: np.ndarray, num_steps: int) -> np.ndarray:
+def quantize_real(values: np.ndarray, num_steps: int,
+                  dtype=np.int64) -> np.ndarray:
     """Quantize reals in ``[0, 1)`` to the ``T``-bit grid used by the encoder.
 
     Values outside ``[0, 1)`` are clipped — this mirrors the saturating
-    behaviour of the hardware requantization stage.
+    behaviour of the hardware requantization stage.  ``dtype`` is the
+    integer type of the result; any type holding ``[0, 2**T - 1]`` is
+    exact.
     """
     _check_num_steps(num_steps)
     values = np.asarray(values, dtype=np.float64)
-    scaled = np.floor(values * (1 << num_steps))
-    return np.clip(scaled, 0, max_int(num_steps)).astype(np.int64)
+    scaled = values * (1 << num_steps)
+    np.floor(scaled, out=scaled)
+    return np.clip(scaled, 0, max_int(num_steps), out=scaled).astype(dtype)
 
 
 def encode_real(values: np.ndarray, num_steps: int) -> SpikeTrain:

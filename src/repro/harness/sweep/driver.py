@@ -50,10 +50,7 @@ import numpy as np
 
 from repro.core.engine import warm_engine
 from repro.core.engine.cache import content_key
-from repro.core.engine.calibrate import (
-    DEFAULT_DISPATCH_COST_S,
-    lookup_table,
-)
+from repro.core.engine.calibrate import lookup_table
 from repro.errors import ConfigurationError
 from repro.harness.artifacts import ArtifactStore
 from repro.harness.sweep.work import (
@@ -65,6 +62,7 @@ from repro.harness.sweep.work import (
     sweep_store_key,
 )
 from repro.runtime import (
+    DEFAULT_DISPATCH_COST_S,
     Deployment,
     DeploymentRegistry,
     GroupListener,

@@ -32,17 +32,25 @@ __all__ = [
 
 
 def requantize(
-    acc: np.ndarray, scales: np.ndarray, num_steps: int, channel_axis: int
+    acc: np.ndarray, scales: np.ndarray, num_steps: int, channel_axis: int,
+    *, bias: np.ndarray | None = None, dtype=np.int64,
 ) -> np.ndarray:
     """The hardware requantization stage: ReLU + rescale + saturate.
 
-    ``a_out = clip(floor(acc * M + 1/2), 0, 2**T - 1)`` with a per-channel
-    scale ``M`` broadcast along ``channel_axis``.  The ``+1/2`` makes the
-    truncating datapath round to nearest; in hardware it is free — a
-    per-channel constant of ``1/(2M)`` folded into the bias that is added
-    to the accumulator anyway.  At T=3 (eight activation levels) this
-    half-LSB recovers several accuracy points, so every executor must use
-    exactly this function.
+    ``a_out = clip(floor((acc + bias) * M + 1/2), 0, 2**T - 1)`` with a
+    per-channel bias and scale ``M`` broadcast along ``channel_axis``.
+    The ``+1/2`` makes the truncating datapath round to nearest; in
+    hardware it is free — a per-channel constant of ``1/(2M)`` folded
+    into the bias that is added to the accumulator anyway.  At T=3
+    (eight activation levels) this half-LSB recovers several accuracy
+    points, so every executor must use exactly this function.
+
+    ``bias`` (optional, one integer per channel) is added here rather
+    than by the caller, in float64: an integer sum below ``2**53`` is
+    exact there, so the result equals requantizing the int64
+    ``acc + bias``.  ``dtype`` is the output integer type; every result
+    lies in ``[0, 2**T - 1]``, so any type holding that range (``uint8``
+    for ``T <= 8``) is exact.
     """
     scales = np.asarray(scales, dtype=np.float64)
     shape = [1] * acc.ndim
@@ -52,11 +60,14 @@ def requantize(
     # temporary is a fresh allocation per batch that the C allocator
     # may hand back to the OS and fault in again next batch.
     scaled = acc.astype(np.float64)
+    if bias is not None:
+        scaled += np.asarray(bias, dtype=np.float64).reshape(shape)
     scaled *= scales.reshape(shape)
     scaled += 0.5
-    np.floor(scaled, out=scaled)
+    # Saturating first makes the floor a truncation: on [0, 2**T - 1]
+    # the integer cast rounds toward zero, which is the floor there.
     np.clip(scaled, 0, (1 << num_steps) - 1, out=scaled)
-    return scaled.astype(np.int64)
+    return scaled.astype(dtype)
 
 
 class _ReadOnlyArrays:

@@ -172,8 +172,9 @@ class TestCalibrateDeployment:
 class TestCodecRatioWiring:
     def test_table_default_matches_codec_default(self):
         """An uncalibrated table installs the codec's own default, so
-        installing it moves no encoding choice."""
-        assert DEFAULT_COO_RATIO == codec.DEFAULT_COO_RATIO
+        installing it moves no encoding choice.  The table's default is
+        the codec's own object, not a second copy."""
+        assert DEFAULT_COO_RATIO is codec.DEFAULT_COO_RATIO
         assert CalibrationTable(content_key="k").coo_ratio == \
             codec.DEFAULT_COO_RATIO
 
