@@ -1,4 +1,4 @@
-"""Autotune benchmark — silent-frame skipping and calibrated sharding.
+"""Autotune benchmark — silent-frame skipping and saturation-aware sharding.
 
 Measured, not guessed: this benchmark holds the LeNet deployment to two
 promises and records the evidence in ``artifacts/bench_autotune.json``:
@@ -21,9 +21,9 @@ promises and records the evidence in ``artifacts/bench_autotune.json``:
   ~ms-per-image work, but once the per-image cost collapses on a
   mostly-silent stream the per-unit dispatch tax dominates every lane)
   by >= 1.1x wall clock with bit-identical merged predictions and
-  trace counters.  The dispatch cost comes from the deployment's
-  calibration table (:func:`repro.core.engine.calibrate.calibrate_deployment`).
-  The two
+  trace counters.  The sizer measures per-image and per-batch cost
+  itself and adds the fabric's fixed per-chunk dispatch cost
+  (:data:`repro.runtime.DEFAULT_DISPATCH_COST_S`).  The two
   configurations are swept in paired alternating rounds and compared by
   median per-round ratio — forked-lane wall clocks are the noisiest
   numbers in the suite.  Requires >= 2 cores; skipped (pytest) or
@@ -37,11 +37,7 @@ import numpy as np
 
 from repro.core import AcceleratorConfig
 from repro.core.engine import warm_engine
-from repro.core.engine.calibrate import (
-    calibrate_deployment,
-    event_silent_frac,
-    probe_batch,
-)
+from repro.core.engine.calibrate import event_silent_frac, probe_batch
 from repro.harness import Table
 from repro.harness.sweep import SweepDriver, SweepTask
 
@@ -89,14 +85,10 @@ def _best_time(fn, rounds: int = ROUNDS) -> float:
     return best
 
 
-def _calibrated_lenet(runner):
-    """LeNet + the config every sweep/serve entry point deploys it under,
-    with its calibration table measured (or reloaded) and installed."""
+def _lenet(runner):
+    """LeNet + the config every sweep/serve entry point deploys it under."""
     snn, _ = runner.lenet_snn(3)
-    config = AcceleratorConfig.for_network(snn.network)
-    table, cached = calibrate_deployment(snn.network, config,
-                                         store=runner.store)
-    return snn, config, table, cached
+    return snn, AcceleratorConfig.for_network(snn.network)
 
 
 def _split_run(engine, images: np.ndarray) -> tuple:
@@ -139,7 +131,7 @@ def _race(engine, batches: dict) -> tuple[dict, list]:
 
 def run_silent_frames(runner, rng) -> dict:
     """Gate 1: silent frames are exact to split off and cheaper to run."""
-    snn, config, table, cached = _calibrated_lenet(runner)
+    snn, config = _lenet(runner)
     engine = warm_engine(snn.network, config, "sparse")
     shape = tuple(snn.network.input_shape)
 
@@ -195,8 +187,6 @@ def run_silent_frames(runner, rng) -> dict:
     return {
         "workload": "LeNet-5, T=3, event blob frames per density bucket",
         "batch": BATCH,
-        "calibration_cached": cached,
-        "coo_ratio": table.coo_ratio,
         "buckets": buckets,
     }
 
@@ -208,7 +198,7 @@ def _shard_workload(shape, rng) -> np.ndarray:
 
 def run_saturated_sharding(runner, rng) -> dict:
     """Gate 2: saturate=True must beat fixed shards on 2 process lanes."""
-    snn, config, table, _ = _calibrated_lenet(runner)
+    snn, config = _lenet(runner)
     images = _shard_workload(snn.network.input_shape, rng)
     labels = np.zeros(len(images), dtype=np.int64)
     # Warm the parent-side compile so forked lanes inherit it (and the
@@ -261,7 +251,6 @@ def run_saturated_sharding(runner, rng) -> dict:
         "lanes": 2,
         "fixed_shard_size": SHARD_FIXED,
         "saturated_shard_size": sat_size,
-        "dispatch_cost_s": table.dispatch_cost_s,
         "wall_fixed_s": float(np.median(fixed_walls)),
         "wall_saturated_s": float(np.median(sat_walls)),
         "speedup": speedup,

@@ -9,7 +9,6 @@ Usage::
     python -m repro dataflow          # memory-traffic ablation
     python -m repro figures           # Fig. 1 / Fig. 2 diagrams
     python -m repro sweep             # sharded accuracy sweep (fabric)
-    python -m repro calibrate         # measure codec + dispatch costs
     python -m repro serve             # async micro-batching server (TCP)
     python -m repro loadgen           # drive a server, report latency SLOs
     python -m repro worker            # TCP engine worker (join a fabric)
@@ -34,17 +33,13 @@ run to ``repro worker --join`` hosts, which enter as lanes *mid-run*;
 (deployment, image range, cycles, running top-1) for live dashboards.
 Results are bit-identical for any lane mix, ``--shard-size`` or lane
 churn and are persisted in the artifact store.  ``--saturate`` sizes
-shards from measured per-image/per-batch/dispatch costs instead of a
-fixed ``--shard-size``, growing them until lanes spend their time
-computing rather than dispatching.
+shards from per-image and per-batch costs it measures itself, plus the
+fabric's fixed per-chunk dispatch cost, instead of a fixed
+``--shard-size``, growing them until lanes spend their time computing
+rather than dispatching.
 
-``calibrate`` measures a deployment's COO wire-encoding crossover and
-fabric dispatch cost from probe batches and persists the
-:class:`~repro.core.engine.calibrate.CalibrationTable` in the artifact
-store keyed by the model's content key; the codec and ``sweep
---saturate`` pick the table up automatically, and ``--force``
-re-measures an existing table.  ``--backend sparse`` names the same
-engine as ``--backend vectorized``, which skips silent images itself.
+``--backend sparse`` names the same engine as ``--backend vectorized``,
+which skips silent images itself.
 
 ``worker`` turns this host into a TCP engine worker, two ways:
 ``--listen host:port`` accepts drivers (sweeps or serving pools on
@@ -156,25 +151,6 @@ def _print_sweep(runner: ExperimentRunner, steps: tuple) -> None:
     else:
         print(f"\nall {summary.num_tasks} sweep cells served from the "
               "artifact store")
-
-
-def _run_calibrate(runner: ExperimentRunner, args) -> None:
-    spec = (args.models or [f"lenet:{_parse_steps(args.steps)[0]}"])[0]
-    name, _, table, cached = runner.calibrate_model(
-        spec, force=args.force, measure_dispatch=True)
-    print(f"calibration for {name} "
-          f"(content key {table.content_key[:12]})")
-    print(f"  {'codec COO':<24} raw buffers above "
-          f"{table.coo_ratio:.3f} of raw bytes")
-    if table.dispatch_cost_s is not None:
-        print(f"  {'fabric dispatch':<24} "
-              f"{table.dispatch_cost_s * 1e3:.3f} ms/unit")
-    if cached:
-        print("calibration table reused from the artifact store "
-              "(cache hit); --force re-measures")
-    else:
-        print("calibration table measured and persisted "
-              f"(artifact key calibration_{table.content_key[:12]}...)")
 
 
 def _serve_images(runner, count: int, unique: int = None) -> np.ndarray:
@@ -549,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "experiment",
         choices=["table1", "table2", "table3", "encoding", "dataflow",
-                 "figures", "sweep", "calibrate", "serve", "loadgen",
+                 "figures", "sweep", "serve", "loadgen",
                  "worker", "deployments", "rollout", "top", "all"],
         help="which experiment to run")
     parser.add_argument("--no-vgg", action="store_true",
@@ -602,20 +578,17 @@ def main(argv: list[str] | None = None) -> int:
                         help="images per sweep work unit (default: 64)")
     parser.add_argument("--saturate", action="store_true",
                         help="sweep: size shards from measured "
-                             "per-image, per-batch and calibrated "
-                             "dispatch costs, growing them until lanes "
-                             "saturate (overrides --shard-size)")
+                             "per-image and per-batch costs plus the "
+                             "fixed dispatch cost, growing them until "
+                             "lanes saturate (overrides --shard-size)")
     parser.add_argument("--window", type=_positive_int, default=None,
                         metavar="W",
                         help="sweep: in-flight dispatch chunks per "
                              "pipelined lane (default: credit-based "
-                             "from calibrated dispatch cost vs. "
+                             "from the fixed dispatch cost vs. "
                              "measured service time; 1 forces "
                              "stop-and-wait); worker: cap advertised "
                              "to dispatchers (default: 8)")
-    parser.add_argument("--force", action="store_true",
-                        help="calibrate: re-measure even when a table "
-                             "for this deployment already exists")
     parser.add_argument("--steps", default="3,4", metavar="T,T,...",
                         help="spike-train lengths for the sweep command "
                              "(default: 3,4; serve/loadgen deploy the "
@@ -765,7 +738,6 @@ def main(argv: list[str] | None = None) -> int:
         "dataflow": lambda: _print_dataflow(runner),
         "figures": lambda: _print_figures(runner),
         "sweep": lambda: _print_sweep(runner, _parse_steps(args.steps)),
-        "calibrate": lambda: _run_calibrate(runner, args),
         "serve": lambda: _run_serve(runner, args),
         "loadgen": lambda: _run_loadgen(runner, args),
         "worker": lambda: _run_worker(args),
@@ -776,7 +748,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.experiment == "all":
             for name, fn in dispatch.items():
-                if name in ("sweep", "calibrate", "serve", "loadgen",
+                if name in ("sweep", "serve", "loadgen",
                             "worker", "deployments", "rollout", "top"):
                     continue  # sweep covered by table1; deployments
                     # re-trains serving models; the rest are daemons

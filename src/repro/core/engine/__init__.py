@@ -12,10 +12,9 @@ Importing this package registers the built-in backends:
   select this one engine and share one warm instance.
 
 Select one with ``Accelerator(config, backend="vectorized")`` or
-``create_engine("vectorized", compiled)``.  ``repro calibrate`` (or
-:func:`~repro.core.engine.calibrate.calibrate_deployment`) measures the
-codec's COO byte ratio and the fabric's dispatch cost per deployment
-and persists them; neither can change an output bit.
+``create_engine("vectorized", compiled)``.  No engine needs
+calibrating: which images a layer skips is decided by an exact
+per-image spike count, not by a measured threshold.
 """
 
 from repro.core.engine.base import (
@@ -32,14 +31,6 @@ from repro.core.engine.cache import (
     warm_compile,
     warm_engine,
 )
-from repro.core.engine.calibrate import (
-    CalibrationTable,
-    calibrate_deployment,
-    calibration_store_key,
-    clear_calibration_tables,
-    install_table,
-    lookup_table,
-)
 from repro.core.engine.reference import ReferenceEngine
 from repro.core.engine.trace import (BatchTrace, ExecutionTrace, LayerTrace,
                                      TraceMerge)
@@ -47,7 +38,6 @@ from repro.core.engine.vectorized import VectorizedEngine
 
 __all__ = [
     "BatchTrace",
-    "CalibrationTable",
     "ExecutionEngine",
     "ExecutionTrace",
     "LayerTrace",
@@ -55,14 +45,9 @@ __all__ = [
     "ReferenceEngine",
     "VectorizedEngine",
     "available_backends",
-    "calibrate_deployment",
-    "calibration_store_key",
-    "clear_calibration_tables",
     "clear_engine_cache",
     "create_engine",
     "engine_cache_stats",
-    "install_table",
-    "lookup_table",
     "network_fingerprint",
     "register_engine",
     "resolve_backend",

@@ -117,24 +117,24 @@ class VectorizedEngine(ExecutionEngine):
         self, images: np.ndarray
     ) -> tuple[np.ndarray, BatchTrace]:
         images = self._check_batch(images)
-        t = self.compiled.network.num_steps
-        x = radix.quantize_real(images, t, self._activation_dtype)
+        x = radix.quantize_real(images, self.compiled.network.num_steps,
+                                self._activation_dtype)
         programs = self.compiled.programs
         adder_ops = np.zeros((x.shape[0], len(programs)), dtype=np.int64)
         logits: np.ndarray | None = None
-        for column, (program, silent) in enumerate(
-                zip(programs, self._silent_outputs)):
+        for column, (program, silent, cover) in enumerate(
+                zip(programs, self._silent_outputs, self._covers)):
             if program.kind == "conv":
-                x, adder_ops[:, column] = self._run_conv(program, x, t,
+                x, adder_ops[:, column] = self._run_conv(program, x, cover,
                                                          silent)
             elif program.kind == "pool":
-                x, adder_ops[:, column] = self._run_pool(program, x, t,
+                x, adder_ops[:, column] = self._run_pool(program, x, cover,
                                                          silent)
             elif program.kind == "flatten":
                 x = x.reshape(x.shape[0], -1)  # no adds: a buffer move
             else:  # linear
-                x, adder_ops[:, column] = self._run_linear(program, x, t,
-                                                           silent)
+                x, adder_ops[:, column] = self._run_linear(program, x,
+                                                           cover, silent)
                 if program.spec.is_output:
                     logits = x
         if logits is None:
@@ -173,6 +173,46 @@ class VectorizedEngine(ExecutionEngine):
                 rows.append(row.reshape(-1, 1, 1) if program.kind == "conv"
                             else row)
         return tuple(rows)
+
+    @cached_property
+    def _covers(self) -> tuple:
+        """Per layer, the flat cover its adder count weighs an input
+        image's spike counts by (None for flatten).
+
+        A conv tap ``(w, j)`` reads padded column ``w*stride + j``, so a
+        spike in input column x feeds cover(x) shift cycles; the pool
+        unit sums whole rows, adding a spike in input row r once per
+        output row whose window covers r; a linear layer counts every
+        spike once.  A cover is broadcast over the whole input image and
+        stored as float32 when an image's largest weighted count,
+        ``T * size * max(cover)``, stays within ``2**24`` (float32 adds
+        nonnegative integers exactly up to there, in any order), float64
+        otherwise (exact to ``2**53``).  None of it depends on the data,
+        so it is built once per engine.
+        """
+        t = self.compiled.network.num_steps
+        covers = []
+        for program in self.compiled.programs:
+            spec = program.spec
+            if program.kind == "conv":
+                c_in, h_in, w_in = spec.in_shape
+                line = _window_cover(w_in, spec.padding, spec.out_shape[2],
+                                     spec.stride, spec.kernel_size[1])
+                cover = np.broadcast_to(line, (c_in, h_in, w_in))
+            elif program.kind == "pool":
+                c_in, h_in, w_in = spec.in_shape
+                line = _window_cover(h_in, 0, spec.out_shape[1],
+                                     spec.stride, spec.size)
+                cover = np.broadcast_to(line[:, None], (c_in, h_in, w_in))
+            elif program.kind == "linear":
+                cover = np.ones(spec.in_features, dtype=np.int64)
+            else:
+                covers.append(None)
+                continue
+            bound = t * cover.size * int(cover.max())
+            dtype = np.float32 if bound <= FLOAT32_EXACT else np.float64
+            covers.append(cover.astype(dtype).reshape(-1))
+        return tuple(covers)
 
     @cached_property
     def _batch_template(self) -> BatchTrace:
@@ -250,81 +290,57 @@ class VectorizedEngine(ExecutionEngine):
             return program.gemm.matmul(x) + spec.bias
         return self._requantize(spec, program.gemm.products(x))
 
-    def _popcount_sum(self, x: np.ndarray, t: int,
-                      weights: np.ndarray | None = None,
-                      axis: int | None = None) -> np.ndarray:
-        """Per-image weighted spike count, ``(N,)`` int64.
-
-        ``weights`` (if given) is a 1-D integer cover applied along
-        ``axis`` of ``x``; with no weights every spike counts once.
-        ``t`` is the train length ``x`` was clipped to.
-
-        The sum is one BLAS matrix-vector product of the popcounts with
-        the cover broadcast over an image.  Its terms are nonnegative
-        integers totalling at most ``t * size * max(weights)`` per
-        image, so float32 adds them exactly up to ``2**24``, in any
-        order, and float64 up to ``2**53``.
-        """
-        n = x.shape[0]
-        shape = [1] * (x.ndim - 1)
-        if weights is None:
-            weights = np.ones(1, dtype=np.int64)
-        else:
-            shape[axis - 1] = -1
-        bound = t * (x.size // n) * int(weights.max())
-        dtype = np.float32 if bound <= FLOAT32_EXACT else np.float64
-        cover = np.broadcast_to(weights.astype(dtype).reshape(shape),
-                                x.shape[1:]).reshape(-1)
-        pops = np.bitwise_count(x).reshape(n, -1).astype(dtype)
-        return (pops @ cover).astype(np.int64)
+    @staticmethod
+    def _popcount_sum(x: np.ndarray, cover: np.ndarray) -> np.ndarray:
+        """Per-image spike count weighted by a layer's flat ``cover``
+        (:attr:`_covers`), ``(N,)`` int64: one BLAS matrix-vector
+        product, exact in the cover's dtype."""
+        pops = np.bitwise_count(x).reshape(x.shape[0], -1)
+        return (pops.astype(cover.dtype) @ cover).astype(np.int64)
 
     # ------------------------------------------------------------------
     # Layer executors: per-image adder activity first, then the batched
     # kernel on the images it shows are live; ``silent`` is the layer's
     # output for the others
     # ------------------------------------------------------------------
-    def _run_conv(self, program: LayerProgram, x: np.ndarray, t: int,
-                  silent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _run_conv(self, program: LayerProgram, x: np.ndarray,
+                  cover: np.ndarray, silent: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
         spec = program.spec
-        # Adder activity: tap (w, j) reads padded column w*stride + j, so
-        # an input spike in column x feeds cover(x) shift cycles, each
-        # driving the kr adder rows of every output channel's slot.  A
-        # spike in a column no tap reads (cover 0) feeds no output.
-        w_in = spec.in_shape[2]
-        c_out, _, w_out = spec.out_shape
-        kr, kc = spec.kernel_size
-        cover = np.zeros(w_in + 2 * spec.padding, dtype=np.int64)
-        for j in range(kc):
-            cover[np.arange(w_out) * spec.stride + j] += 1
-        inner = cover[spec.padding:spec.padding + w_in]
-        spikes = self._popcount_sum(x, t, inner, axis=3)
+        # Each shift cycle an input spike feeds drives the kr adder rows
+        # of every output channel's slot.
+        spikes = self._popcount_sum(x, cover)
         out = _on_live(self._conv_out, program, x, spikes > 0,
                        spec.out_shape, silent)
-        return out, kr * c_out * spikes
+        return out, spec.kernel_size[0] * spec.out_shape[0] * spikes
 
-    def _run_pool(self, program: LayerProgram, x: np.ndarray, t: int,
-                  silent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        spec = program.spec
-        # The pool unit sums whole rows: a spike in input row r is added
-        # once per output row whose window covers r (and feeds no output
-        # when none does).
-        h_in = spec.in_shape[1]
-        h_out = spec.out_shape[1]
-        cover = np.zeros(h_in, dtype=np.int64)
-        for oy in range(h_out):
-            cover[oy * spec.stride:oy * spec.stride + spec.size] += 1
-        spikes = self._popcount_sum(x, t, cover, axis=2)
+    def _run_pool(self, program: LayerProgram, x: np.ndarray,
+                  cover: np.ndarray, silent: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        spikes = self._popcount_sum(x, cover)
         return _on_live(self._pool_out, program, x, spikes > 0,
-                        spec.out_shape, silent), spikes
+                        program.spec.out_shape, silent), spikes
 
-    def _run_linear(self, program: LayerProgram, x: np.ndarray, t: int,
-                    silent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _run_linear(self, program: LayerProgram, x: np.ndarray,
+                    cover: np.ndarray, silent: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
         spec = program.spec
-        spikes = self._popcount_sum(x, t)
+        spikes = self._popcount_sum(x, cover)
         out = _on_live(self._linear_out, program, x, spikes > 0,
                        (spec.out_features,), silent)
         # Each input spike gates one add in every parallel output's adder.
         return out, spikes * spec.out_features
+
+
+def _window_cover(length: int, padding: int, count: int, stride: int,
+                  size: int) -> np.ndarray:
+    """How many of ``count`` windows, ``size`` wide and ``stride``
+    apart over ``length`` positions padded by ``padding`` each side,
+    cover each unpadded position, ``(length,)`` int64."""
+    cover = np.zeros(length + 2 * padding, dtype=np.int64)
+    for start in range(0, count * stride, stride):
+        cover[start:start + size] += 1
+    return cover[padding:padding + length]
 
 
 def _on_live(kernel, program: LayerProgram, x: np.ndarray,

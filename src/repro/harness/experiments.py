@@ -185,28 +185,6 @@ class ExperimentRunner:
                            window=self.sweep_window,
                            token=self.fabric_token)
 
-    def calibrate_model(self, spec: str = "lenet:3", *,
-                        force: bool = False,
-                        measure_dispatch: bool = False, **kwargs):
-        """Measure (or reload) a model's calibration table.
-
-        Resolves ``spec`` like every other deployment entry point, then
-        runs :func:`~repro.core.engine.calibrate.calibrate_deployment`
-        against this runner's artifact store under the exact
-        ``AcceleratorConfig.for_network`` config the sweeps and servers
-        deploy — so the persisted table's ``content_key`` is the one
-        the sweep driver looks up.  Returns ``(canonical name, snn,
-        table, cached)``.
-        """
-        from repro.core.engine.calibrate import calibrate_deployment
-
-        name, snn, _ = self.resolve_model(spec)
-        config = AcceleratorConfig.for_network(snn.network)
-        table, cached = calibrate_deployment(
-            snn.network, config, store=self.store, force=force,
-            measure_dispatch=measure_dispatch, **kwargs)
-        return name, snn, table, cached
-
     def _score_entries(
         self, entries: list[tuple[str, SNNModel, Dataset]]
     ) -> dict[str, TaskOutcome]:

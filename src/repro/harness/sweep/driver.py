@@ -49,8 +49,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.engine import warm_engine
-from repro.core.engine.cache import content_key
-from repro.core.engine.calibrate import lookup_table
 from repro.errors import ConfigurationError
 from repro.harness.artifacts import ArtifactStore
 from repro.harness.sweep.work import (
@@ -150,15 +148,14 @@ class SweepDriver:
         lanes; the merged result is invariant to this choice.
     saturate:
         Saturation-aware shard sizing: probe each task's per-image *and*
-        per-batch cost inline, add the deployment's calibrated fabric
-        dispatch cost (from its
-        :class:`~repro.core.engine.calibrate.CalibrationTable` when one
-        exists), and grow shards until per-unit overhead falls below 5 %
-        of unit compute — lanes then spend their wall clock computing,
-        not dispatching.  Matters most for cheap-per-image
-        work (sparse/event workloads) where a fixed shard size leaves
-        lanes dominated by dispatch.  Results remain bit-identical —
-        shard boundaries never affect the merge.
+        per-batch cost inline, add the fabric's per-chunk dispatch cost
+        (:data:`~repro.runtime.DEFAULT_DISPATCH_COST_S`), and grow
+        shards until per-unit overhead falls below 5 % of unit compute
+        — lanes then spend their wall clock computing, not dispatching.
+        Matters most for cheap-per-image work (sparse/event workloads)
+        where a fixed shard size leaves lanes dominated by dispatch.
+        Results remain bit-identical — shard boundaries never affect
+        the merge.
     probe_images:
         Images per saturating cost probe (clamped to the task size).
     steal:
@@ -220,7 +217,7 @@ class SweepDriver:
             raise ConfigurationError(
                 f"window must be >= 1, got {window}")
         #: In-flight chunk window per pipelined lane (None = derived per
-        #: lane from calibrated dispatch cost vs. measured service time).
+        #: lane from the dispatch cost vs. measured service time).
         self.window = window
         self.listener: GroupListener | None = None  # live during a run
         self.last_summary: SweepSummary | None = None
@@ -306,16 +303,13 @@ class SweepDriver:
         plus the fabric's dispatch cost (submit, transfer, result
         shipping).  On cheap sparse/event workloads that tax dominates,
         and lanes spend their time dispatching instead of computing.
-        This sizer measures each
-        task's per-image and per-batch cost inline (batch-of-1 vs
-        batch-of-K on the warm engine, best of three so a stray
-        scheduler hiccup cannot skew the split; the K probe images are
-        strided across the whole stream, since event workloads bunch
-        silent and live frames and the head alone misleads), takes the
-        dispatch cost from the
-        deployment's calibration table when ``repro calibrate`` has
-        measured one (:data:`DEFAULT_DISPATCH_COST_S` otherwise), and
-        picks the smallest shard where overhead is under
+        This sizer measures each task's per-image and per-batch cost
+        inline (batch-of-1 vs batch-of-K on the warm engine, best of
+        five so a stray scheduler hiccup cannot skew the split; the K
+        probe images are strided across the whole stream, since event
+        workloads bunch silent and live frames and the head alone
+        misleads), adds the fabric's :data:`DEFAULT_DISPATCH_COST_S`,
+        and picks the smallest shard where overhead is under
         :data:`_SATURATE_OVERHEAD_FRACTION` of unit compute — capped so
         every lane still gets at least two units to balance across.
         Only scheduling changes; the merge is bit-identical regardless.
@@ -344,36 +338,13 @@ class SweepDriver:
                 per_image = (tk - t1) / (k - 1)
                 per_image = max(min(per_image, t1), tk / (2 * k), 1e-9)
                 per_batch = max(t1 - per_image, 0.0)
-            table = lookup_table(content_key(
-                task.network, task.config, task.calibration))
-            dispatch = DEFAULT_DISPATCH_COST_S
-            if table is not None and table.dispatch_cost_s:
-                dispatch = table.dispatch_cost_s
-            overhead = per_batch + dispatch
+            overhead = per_batch + DEFAULT_DISPATCH_COST_S
             amortized = math.ceil(
                 overhead / (_SATURATE_OVERHEAD_FRACTION * per_image))
             balance_cap = math.ceil(task.num_images / (lanes * 2))
             sizes.append(max(1, min(amortized, balance_cap,
                                     task.num_images)))
         return sizes
-
-    @staticmethod
-    def _calibrated_dispatch_cost(tasks) -> float | None:
-        """The measured per-chunk dispatch cost to credit windows with.
-
-        The sweep's lanes serve every task, so the *largest* calibrated
-        cost across the work list is the one worth hiding — a bigger
-        cost credits a deeper window, which degrades to harmless extra
-        overlap for the cheaper tasks.  None (no task calibrated with
-        ``measure_dispatch``) lets the group fall back to its default.
-        """
-        costs = []
-        for task in tasks:
-            table = lookup_table(content_key(
-                task.network, task.config, task.calibration))
-            if table is not None and table.dispatch_cost_s:
-                costs.append(float(table.dispatch_cost_s))
-        return max(costs) if costs else None
 
     @staticmethod
     def _timed(engine, images) -> float:
@@ -420,8 +391,7 @@ class SweepDriver:
             group = WorkerGroup(
                 create_workers(self.worker_specs, token=self.token),
                 deployments=deployments, steal=self.steal,
-                heartbeat_s=self.heartbeat_s, window=self.window,
-                dispatch_cost_s=self._calibrated_dispatch_cost(tasks))
+                heartbeat_s=self.heartbeat_s, window=self.window)
             indices = task_indices
         else:
             if not group.started:

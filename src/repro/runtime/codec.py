@@ -46,7 +46,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
-import os
 import struct
 
 import numpy as np
@@ -61,11 +60,11 @@ __all__ = [
     "check_token",
     "decode_frame",
     "encode_frame",
+    "error_from_payload",
+    "error_payload",
     "fabric_auth",
-    "get_coo_ratio",
     "parse_frame_prefix",
     "read_frame",
-    "set_coo_ratio",
 ]
 
 
@@ -120,33 +119,11 @@ _WIRE_DTYPES = frozenset({
 _SPARSE_MIN_ELEMENTS = 256
 
 #: An array ships as COO when its COO bytes come in under this fraction
-#: of the raw buffer (slack covers the longer descriptor).  Resolution
-#: order: ``coo_ratio=`` keyword on :func:`encode_frame`, then the
-#: ``REPRO_COO_RATIO`` environment pin, then the calibrated value wired
-#: in by :func:`~repro.core.engine.calibrate.install_table` via
-#: :func:`set_coo_ratio`, then this default.
+#: of the raw buffer (slack covers the longer descriptor).  A fixed
+#: constant: the choice only moves wire bytes, since either
+#: representation rebuilds the array byte-for-byte.  ``coo_ratio=`` on
+#: :func:`encode_frame` overrides it for one frame.
 DEFAULT_COO_RATIO = 0.9
-_COO_RATIO_PINNED = "REPRO_COO_RATIO" in os.environ
-_COO_RATIO = float(os.environ.get("REPRO_COO_RATIO", DEFAULT_COO_RATIO))
-
-
-def get_coo_ratio() -> float:
-    """The COO-vs-raw byte ratio currently in effect."""
-    return _COO_RATIO
-
-
-def set_coo_ratio(ratio: float, force: bool = False) -> None:
-    """Adopt a (calibrated) COO byte-ratio threshold, process-wide.
-
-    A ``REPRO_COO_RATIO`` environment pin outranks calibration and makes
-    this a no-op unless ``force`` is set.  Encoding choice only affects
-    wire bytes — either representation rebuilds the array
-    byte-for-byte.
-    """
-    global _COO_RATIO
-    if _COO_RATIO_PINNED and not force:
-        return
-    _COO_RATIO = float(ratio)
 
 
 def _sparse_wins(array: np.ndarray, nnz: int,
@@ -156,7 +133,7 @@ def _sparse_wins(array: np.ndarray, nnz: int,
         return False
     coo_bytes = nnz * (4 + array.itemsize)
     return coo_bytes < array.nbytes * (
-        _COO_RATIO if ratio is None else ratio)
+        DEFAULT_COO_RATIO if ratio is None else ratio)
 
 
 def encode_frame(payload: dict,
@@ -371,6 +348,32 @@ def read_frame(reader) -> tuple[dict, dict[str, np.ndarray]] | None:
     _require(len(body) == body_len,
              f"frame truncated in body ({len(body)}/{body_len} bytes)")
     return decode_frame(header, body)
+
+
+# ----------------------------------------------------------------------
+# Structured errors (the ``error`` field of a failed reply)
+# ----------------------------------------------------------------------
+def error_payload(error: Exception) -> dict:
+    """An exception as a reply's structured ``error`` field."""
+    return {"type": type(error).__name__, "message": str(error)}
+
+
+def error_from_payload(error, types: dict[str, type],
+                       fallback: type[Exception]) -> Exception:
+    """The typed exception a structured ``error`` field carries.
+
+    ``types`` maps the sender's class names to the classes this side
+    raises; any other name (or a missing field) becomes ``fallback``
+    with the sender's class name kept in the message.  A bare string,
+    an older peer's unstructured error, becomes ``fallback`` as is.
+    """
+    if isinstance(error, str):
+        return fallback(error)
+    error = error if isinstance(error, dict) else {}
+    name = error.get("type", "Error")
+    message = error.get("message", "remote failure")
+    cls = types.get(name)
+    return fallback(f"{name}: {message}") if cls is None else cls(message)
 
 
 # ----------------------------------------------------------------------

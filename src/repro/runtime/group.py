@@ -96,10 +96,9 @@ def _fabric_window_occupancy(lane: str, depth: int) -> None:
     ).labels(lane=lane).observe(float(depth))
 
 
-#: Assumed per-chunk fabric dispatch cost when no calibration table
-#: measured one — roughly one warmed process-lane round trip on a
-#: laptop-class host.  Feeds the window credit and the sweep's shard
-#: sizing.
+#: Per-chunk fabric dispatch cost — roughly one warmed process-lane
+#: round trip on a laptop-class host.  Feeds the window credit and the
+#: sweep's shard sizing; it only moves scheduling, never an output.
 DEFAULT_DISPATCH_COST_S = 2e-3
 
 #: Hard ceiling on any lane's in-flight window, credit-derived or not.
@@ -198,7 +197,7 @@ class WorkerGroup:
         changes which lane runs what, so results stay bit-identical.
     window:
         In-flight chunk window per lane.  ``None`` (default) derives a
-        credit per lane from the calibrated dispatch cost vs. that
+        credit per lane from :data:`DEFAULT_DISPATCH_COST_S` vs. that
         lane's measured service time — enough chunks in flight to hide
         dispatch/wire overhead behind compute, no more.  An explicit
         integer overrides the credit (``1`` = stop-and-wait).  Either
@@ -207,11 +206,6 @@ class WorkerGroup:
         unsent items stay on the lane's queue, so peers steal them
         exactly as before; an eviction requeues the *entire* in-flight
         window exactly-once through the result ledger.
-    dispatch_cost_s:
-        Calibrated per-chunk dispatch overhead (encode + transfer) used
-        by the credit derivation; ``None`` falls back to the historical
-        constant.  Pass ``CalibrationTable.dispatch_cost_s`` when a
-        measured figure exists.
     chaos:
         Optional :class:`~repro.runtime.chaos.ChaosPolicy` consulted at
         the group's injection sites (dispatch kills, heartbeat
@@ -239,7 +233,6 @@ class WorkerGroup:
         probation_s: float | None = None,
         max_batch_items: int = 8,
         window: int | None = None,
-        dispatch_cost_s: float | None = None,
         chaos: ChaosPolicy | None = None,
         ledger: ResultLedger | None = None,
     ) -> None:
@@ -271,7 +264,6 @@ class WorkerGroup:
             raise ConfigurationError(
                 f"window must be >= 1, got {window}")
         self.window = window
-        self.dispatch_cost_s = dispatch_cost_s
         # Per-lane EWMA of chunk service time (lane-side compute
         # seconds), feeding the credit derivation.  Keyed by lane index;
         # guarded by the group lock.
@@ -733,14 +725,14 @@ class WorkerGroup:
     def _lane_window_locked(self, index: int, worker: Worker) -> int:
         """The lane's in-flight chunk credit; lock must be held.
 
-        Explicit ``window`` wins; otherwise the credit covers the
-        calibrated dispatch cost with chunks of measured service time —
-        ``1 + ceil(dispatch / service)`` — so a lane whose compute
+        Explicit ``window`` wins; otherwise the credit covers
+        :data:`DEFAULT_DISPATCH_COST_S` with chunks of measured service
+        time — ``1 + ceil(dispatch / service)`` — so a lane whose compute
         dwarfs its dispatch overhead stays effectively stop-and-wait
         while a wire-bound lane keeps enough chunks in flight to never
         idle.  Always clamped to the executor's ``pipeline_depth`` and
-        the group-wide ceiling; an uncalibrated lane (no chunk served
-        yet) starts stop-and-wait.
+        the group-wide ceiling; a lane with no chunk served yet starts
+        stop-and-wait.
         """
         depth = max(1, int(getattr(worker, "pipeline_depth", 1)))
         cap = min(depth, _MAX_WINDOW)
@@ -749,9 +741,8 @@ class WorkerGroup:
         service = self._service_ewma.get(index)
         if not service:
             return 1
-        dispatch = (self.dispatch_cost_s if self.dispatch_cost_s
-                    else DEFAULT_DISPATCH_COST_S)
-        credit = 1 + math.ceil(dispatch / max(service, 1e-9))
+        credit = 1 + math.ceil(DEFAULT_DISPATCH_COST_S
+                               / max(service, 1e-9))
         return max(1, min(credit, cap))
 
     def _dispatch(self, index: int) -> None:

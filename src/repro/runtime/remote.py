@@ -81,6 +81,8 @@ from repro.runtime.codec import (
     attach_token,
     check_token,
     encode_frame,
+    error_from_payload,
+    error_payload,
     read_frame,
 )
 from repro.runtime.work import (Deployment, WorkItem, WorkResult,
@@ -96,20 +98,6 @@ _REMOTE_ERROR_TYPES = {
     "DeploymentError": DeploymentError,
     "FabricAuthError": FabricAuthError,
 }
-
-
-def _error_reply(error: Exception) -> dict:
-    return {"ok": False,
-            "error": {"type": type(error).__name__,
-                      "message": str(error)}}
-
-
-def _remote_error(reply: dict) -> Exception:
-    """The typed exception an ``{"ok": false}`` reply carries."""
-    error = reply.get("error") or {}
-    cls = _REMOTE_ERROR_TYPES.get(error.get("type"), RemoteExecutionError)
-    return cls(f"{error.get('type', 'Error')}: "
-               f"{error.get('message', 'remote worker failure')}")
 
 
 def _configure_socket(sock: socket.socket) -> None:
@@ -171,7 +159,8 @@ def _handle_request(deployments: list[Deployment], message: dict,
             except Exception as error:  # noqa: BLE001 — per-item
                 # failure inside a healthy chunk: the sibling items'
                 # results must still come back.
-                results.append(_error_reply(error))
+                results.append({"ok": False,
+                                "error": error_payload(error)})
                 continue
             results.append({
                 "ok": True,
@@ -212,7 +201,8 @@ def _serve_requests(conn: socket.socket, reader,
             decoded = read_frame(reader)
         except CodecError as error:
             try:
-                conn.sendall(encode_frame(_error_reply(error)))
+                conn.sendall(encode_frame(
+                    {"ok": False, "error": error_payload(error)}))
             except OSError:
                 pass
             return
@@ -223,7 +213,8 @@ def _serve_requests(conn: socket.socket, reader,
             reply, out_arrays = _handle_request(
                 deployments, message, arrays, token, window=window)
         except Exception as error:  # noqa: BLE001 — see docstring
-            reply, out_arrays = _error_reply(error), {}
+            reply = {"ok": False, "error": error_payload(error)}
+            out_arrays = {}
         conn.sendall(encode_frame(reply, out_arrays))
         if chaos is not None and chaos.server_hangup(lane):
             return  # injected hangup: the reply landed, then we vanish
@@ -555,7 +546,8 @@ class GroupListener:
             refusal = error   # not RBF1 (or a hostile frame)
         if refusal is not None:
             try:
-                conn.sendall(encode_frame(_error_reply(refusal)))
+                conn.sendall(encode_frame(
+                    {"ok": False, "error": error_payload(refusal)}))
             finally:
                 reader.close()
                 conn.close()
@@ -776,7 +768,9 @@ class RemoteWorker(Worker):
         self._send_locked(payload, arrays, timeout_s)
         reply, reply_arrays = self._read_reply_locked(timeout_s)
         if not reply.get("ok"):
-            raise _remote_error(reply)
+            raise error_from_payload(reply.get("error"),
+                                     _REMOTE_ERROR_TYPES,
+                                     RemoteExecutionError)
         return reply, reply_arrays
 
     def deploy(self, deployments: list[Deployment]) -> None:
@@ -963,7 +957,9 @@ class RemoteWorker(Worker):
             # A whole-chunk refusal (auth, malformed frame) on a live
             # connection: a task-level failure — the reply was consumed
             # in order, the lane stays healthy.
-            raise _remote_error(reply)
+            raise error_from_payload(reply.get("error"),
+                                     _REMOTE_ERROR_TYPES,
+                                     RemoteExecutionError)
         return self._decode_chunk(reply, arrays, flight)
 
     def _decode_chunk(self, reply: dict, arrays: dict,
@@ -980,7 +976,9 @@ class RemoteWorker(Worker):
         for position, entry in enumerate(entries):
             outcomes.append(
                 self._result_from(entry, arrays, position)
-                if entry.get("ok") else _remote_error(entry))
+                if entry.get("ok") else error_from_payload(
+                    entry.get("error"), _REMOTE_ERROR_TYPES,
+                    RemoteExecutionError))
         if flight.spans:
             shared = len(items) > 1
             for position, item in enumerate(items):

@@ -112,7 +112,7 @@ class EnginePool:
         #: Optional ChaosPolicy handed to the WorkerGroup (fault drills).
         self.chaos = chaos
         #: In-flight chunk window per pipelined lane (None = the group
-        #: derives it from calibrated dispatch cost vs. service time).
+        #: derives it from the fixed dispatch cost vs. service time).
         self.window = window
         self.worker_specs = (list(workers) if workers
                              else [mode] * size)

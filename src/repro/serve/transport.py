@@ -67,6 +67,8 @@ from repro.runtime.codec import (
     _checked_magic,
     decode_frame,
     encode_frame,
+    error_from_payload,
+    error_payload,
     parse_frame_prefix,
 )
 from repro.runtime.remote import _backoff_delay
@@ -94,18 +96,6 @@ _IDEMPOTENT_OPS = frozenset({"ping", "metrics", "deployments",
 class _ConnectionLost(ServeError):
     """Client-side connection failure — retryable, unlike a structured
     error the server answered with."""
-
-
-def _error_payload(error: Exception) -> dict:
-    return {"type": type(error).__name__, "message": str(error)}
-
-
-def _raise_remote_error(error) -> Exception:
-    """Rebuild the typed exception from a structured (or legacy) error."""
-    if isinstance(error, dict):
-        cls = _ERROR_TYPES.get(error.get("type"), ServeError)
-        return cls(error.get("message", "server error"))
-    return ServeError(str(error))
 
 
 async def _read_frame_async(reader: asyncio.StreamReader):
@@ -199,7 +189,7 @@ async def _handle_connection(server: InferenceServer,
             # exception type, so timeouts and backpressure resurface
             # client-side as the same typed errors.
             await respond({"id": request_id,
-                           "error": _error_payload(error)})
+                           "error": error_payload(error)})
 
     try:
         while True:
@@ -209,7 +199,7 @@ async def _handle_connection(server: InferenceServer,
                 frame = await _read_frame_async(reader)
             except CodecError as error:
                 await respond({"id": None,
-                               "error": _error_payload(error)})
+                               "error": error_payload(error)})
                 break
             if frame is None:
                 break
@@ -320,7 +310,8 @@ class TcpClient:
                 if future is not None and not future.done():
                     if "error" in payload:
                         future.set_exception(
-                            _raise_remote_error(payload["error"]))
+                            error_from_payload(payload["error"],
+                                               _ERROR_TYPES, ServeError))
                     else:
                         future.set_result(payload)
         except (CodecError, ConnectionError, OSError):

@@ -7,6 +7,9 @@ The contracts pinned here:
   vectorized engine's ``_popcount_sum`` (whose per-image sums also pick
   the images each layer's kernel runs on), on mostly-zero tensors with
   a silent image and saturated entries;
+* each layer's cover, built once per engine, counts exactly the conv
+  taps or pool windows reading each input position, and switches to
+  float64 past the float32-exact bound without moving a count;
 * a :class:`TraceMerge` table's per-layer rows sum exactly to the
   per-image traces' totals, and a :class:`BatchTrace` merges (whole or
   per image) to exactly ``TraceMerge.from_traces(run_batch(...)[1])``
@@ -24,6 +27,7 @@ import pytest
 from repro.core import AcceleratorConfig, compile_network, create_engine
 from repro.core.engine import BatchTrace, TraceMerge
 from repro.core.engine.trace import MERGE_COLUMNS
+from repro.core.engine import vectorized
 from repro.core.engine.vectorized import _popcount
 from repro.errors import SimulationError
 from repro.harness import ArtifactStore
@@ -77,7 +81,7 @@ class TestPopcount:
     def test_dense_and_gather_sums_equal_shift_loop(self, rng, num_steps):
         """``_popcount_sum`` on mostly-zero tensors with a silent image
         and saturated entries, weighted along either spatial axis and
-        unweighted."""
+        unweighted, with a float32 and a float64 cover."""
         _, engines = engines_for(SMALL, (1, 8, 8), 3)
         dense = engines["vectorized"]
         top = (1 << num_steps) - 1
@@ -86,17 +90,100 @@ class TestPopcount:
         x[0] = 0            # a silent image
         x[1, 0, 0, :] = top  # saturated entries
         pops = loop_popcount(x, num_steps)
-        for axis, extent in ((2, 6), (3, 7)):
+        for axis, extent in ((2, 6), (3, 7), (None, 1)):
             weights = rng.integers(1, 5, size=extent).astype(np.int64)
             shape = [1] * x.ndim
-            shape[axis] = -1
-            want = (pops * weights.reshape(shape)).reshape(5, -1).sum(axis=1)
-            got = dense._popcount_sum(x, num_steps, weights, axis)
-            np.testing.assert_array_equal(got, want)
-            assert got.dtype == np.int64
-        np.testing.assert_array_equal(
-            dense._popcount_sum(x.reshape(5, -1), num_steps),
-            pops.reshape(5, -1).sum(axis=1))
+            if axis is not None:
+                shape[axis] = -1
+            weighted = np.broadcast_to(weights.reshape(shape), x.shape)
+            want = (pops * weighted).reshape(5, -1).sum(axis=1)
+            for dtype in (np.float32, np.float64):
+                cover = weighted[0].reshape(-1).astype(dtype)
+                got = dense._popcount_sum(x, cover)
+                np.testing.assert_array_equal(got, want)
+                assert got.dtype == np.int64
+
+
+def brute_force_cover(program):
+    """The count of conv taps (padded, strided) or pool windows reading
+    each input position, broadcast over the input image; ones for a
+    linear layer, ``None`` for flatten."""
+    spec = program.spec
+    if program.kind == "flatten":
+        return None
+    if program.kind == "linear":
+        return np.ones(spec.in_features)
+    c_in, h_in, w_in = spec.in_shape
+    if program.kind == "conv":
+        kc, pad = spec.kernel_size[1], spec.padding
+        line = [sum(w * spec.stride + j - pad == col
+                    for w in range(spec.out_shape[2])
+                    for j in range(kc))
+                for col in range(w_in)]
+        return np.broadcast_to(np.array(line), spec.in_shape)
+    line = [sum(oy * spec.stride + i == row
+                for oy in range(spec.out_shape[1])
+                for i in range(spec.size))
+            for row in range(h_in)]
+    return np.broadcast_to(np.array(line)[:, None], spec.in_shape)
+
+
+class TestCovers:
+    def test_covers_count_the_windows_reading_each_position(self):
+        """Each layer's cover equals a brute-force count of the conv
+        taps (padded, strided) or pool windows reading each position,
+        broadcast over the input image; linear layers weigh every
+        spike once, and flatten has none."""
+        net, engines = engines_for(SMALL, (1, 8, 8), 3)
+        engine = engines["vectorized"]
+        covers = engine._covers
+        assert len(covers) == len(engine.compiled.programs)
+        for program, cover in zip(engine.compiled.programs, covers):
+            want = brute_force_cover(program)
+            if want is None:
+                assert cover is None
+                continue
+            assert cover.dtype == np.float32
+            np.testing.assert_array_equal(
+                cover.reshape(want.shape), want)
+
+    def test_unread_edges_weigh_nothing(self, rng):
+        """On odd extents an unpadded conv's last column and a pool's
+        last row are read by no window: their cover is zero, and the
+        adder counts still equal the reference engine's."""
+        layers = [("conv", 3, 2, 2, 0), ("pool", 2), ("flatten",),
+                  ("linear", 4)]
+        net, engines = engines_for(layers, (1, 11, 11), 3)
+        engine = engines["vectorized"]
+        conv, pool = engine.compiled.programs[:2]
+        conv_cover, pool_cover = engine._covers[:2]
+        assert pool.spec.in_shape[1] == 5
+        for program, cover in ((conv, conv_cover), (pool, pool_cover)):
+            want = brute_force_cover(program)
+            np.testing.assert_array_equal(
+                cover.reshape(want.shape), want)
+        assert not conv_cover.reshape(conv.spec.in_shape)[..., -1].any()
+        assert not pool_cover.reshape(pool.spec.in_shape)[:, -1].any()
+        images = sparse_images(rng, net, 4)
+        want = engines["reference"].run_merged(images)
+        got = engine.run_merged(images)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1].adder_ops, want[1].adder_ops)
+
+    def test_float64_covers_past_the_float32_bound(self, rng,
+                                                   monkeypatch):
+        """Past the float32-exact bound the covers switch to float64,
+        and the adder counts stay equal to the reference engine's."""
+        monkeypatch.setattr(vectorized, "FLOAT32_EXACT", 0)
+        net, engines = engines_for(SMALL, (1, 8, 8), 3)
+        covers = [c for c in engines["vectorized"]._covers
+                  if c is not None]
+        assert {c.dtype for c in covers} == {np.dtype(np.float64)}
+        images = sparse_images(rng, net, 3)
+        want = engines["reference"].run_merged(images)
+        got = engines["vectorized"].run_merged(images)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1].adder_ops, want[1].adder_ops)
 
 
 @pytest.mark.parametrize("layers,input_shape,num_steps,count", [

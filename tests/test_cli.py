@@ -35,6 +35,12 @@ class TestCliDispatch:
         with pytest.raises(SystemExit):
             cli.main(["rocket-science"])
 
+    def test_calibrate_subcommand_removed(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["calibrate"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'calibrate'" in capsys.readouterr().err
+
     def test_requires_argument(self):
         with pytest.raises(SystemExit):
             cli.main([])

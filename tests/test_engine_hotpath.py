@@ -252,9 +252,9 @@ class TestWarmLookup:
 
     def test_memoized_key_equals_a_from_scratch_hash(self, rng,
                                                      monkeypatch):
-        """Persisted calibration tables are keyed by content_key, so the
-        memo must not change a byte of it — and a repeat key must not
-        feed the network again."""
+        """content_key keys the warm engine cache and the deployment
+        fingerprint, so the memo must not change a byte of it — and a
+        repeat key must not feed the network again."""
         deployment = small_deployment(rng)
         net, config = deployment.network, deployment.config
         digest = hashlib.sha256()

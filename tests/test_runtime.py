@@ -24,6 +24,7 @@ import signal
 import socket
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from repro.errors import (
 )
 from repro.harness.sweep import SweepDriver, SweepTask
 from repro.models import performance_network
+from repro.runtime import group as group_module
 from repro.runtime import (
     Deployment,
     ProcessWorker,
@@ -553,6 +555,32 @@ class TestWindowedDispatch:
         for base, other in zip(serial, results):
             np.testing.assert_array_equal(base.logits, other.logits)
             assert base.merged_trace() == other.merged_trace()
+
+    def test_credit_covers_the_fixed_dispatch_cost(self, monkeypatch):
+        """With no explicit window a lane's credit is ``1 + ceil(
+        DEFAULT_DISPATCH_COST_S / service)``, clamped to the lane's
+        pipeline depth and the group ceiling.  A lane with no service
+        measured yet, or a zero dispatch cost, is stop-and-wait, and an
+        explicit window outranks the credit."""
+        group = WorkerGroup([ThreadWorker()])
+        lane = types.SimpleNamespace(pipeline_depth=8)
+
+        def credit(service):
+            group._service_ewma[0] = service
+            with group._lock:
+                return group._lane_window_locked(0, lane)
+
+        assert group_module.DEFAULT_DISPATCH_COST_S == 2e-3
+        assert credit(None) == 1
+        assert credit(1e-3) == 3      # 1 + 2 chunks hide the dispatch
+        assert credit(4e-3) == 2
+        assert credit(1e-6) == 8      # the depth and ceiling clamp
+        lane.pipeline_depth = 3
+        assert credit(1e-6) == 3
+        monkeypatch.setattr(group_module, "DEFAULT_DISPATCH_COST_S", 0.0)
+        assert credit(1e-3) == 1
+        group.window = 2
+        assert credit(1e-6) == 2
 
     def test_window_negotiation_and_validation(self, rng):
         from repro.runtime.remote import _MAX_REMOTE_WINDOW

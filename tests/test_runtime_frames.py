@@ -13,6 +13,8 @@ The contracts pinned here:
   header cap deploys through the frame body on both the listen and the
   join path, and a peer speaking anything else (a v1 JSON line) gets
   one typed ``CodecError`` frame and a hangup, never a hang;
+* one structured-error codec serves both TCP surfaces: each caller's
+  type map resurrects its own classes, everything else its fallback;
 * the shared-memory lane of :class:`ProcessWorker` is equally inert:
   ``REPRO_NO_SHM=1`` (the pickle path) produces the same bits;
 * batched submission (``submit_many``/``execute_many``) returns the
@@ -42,7 +44,13 @@ from hypothesis import strategies as st
 
 from repro.core import AcceleratorConfig
 from repro.core.engine.trace import CHARGE_COLUMNS
-from repro.errors import CodecError, DeploymentError, WorkerCrashError
+from repro.errors import (
+    CodecError,
+    DeploymentError,
+    RemoteExecutionError,
+    ServeError,
+    WorkerCrashError,
+)
 from repro.models import performance_network
 from repro.runtime import (
     Deployment,
@@ -67,9 +75,16 @@ from repro.runtime.codec import (
     FRAME_PREFIX_LEN,
     MAX_BODY_BYTES,
     MAX_HEADER_BYTES,
+    error_from_payload,
+    error_payload,
 )
-from repro.runtime.remote import _handle_request, _RemoteFlight
+from repro.runtime.remote import (
+    _REMOTE_ERROR_TYPES,
+    _handle_request,
+    _RemoteFlight,
+)
 from repro.runtime.work import execute_item
+from repro.serve.transport import _ERROR_TYPES
 from test_runtime import make_items, run_group, tiny_deployment
 
 _PREFIX = struct.Struct("<4sIQ")
@@ -297,6 +312,77 @@ def decodes_or_codec_error(decode, *args) -> None:
         decode(*args)
     except CodecError:
         pass
+
+
+class TestStructuredErrors:
+    def test_known_types_resurrect_and_the_rest_fall_back(self):
+        """One error codec for both TCP surfaces: a mapped class comes
+        back as itself, any other as the caller's fallback with the
+        sender's class name kept; a bare string or a missing field
+        still yields the fallback."""
+        types = {"DeploymentError": DeploymentError}
+        payload = error_payload(DeploymentError("no deployment 3"))
+        assert payload == {"type": "DeploymentError",
+                           "message": "no deployment 3"}
+        error = error_from_payload(payload, types, RemoteExecutionError)
+        assert type(error) is DeploymentError
+        assert str(error) == "no deployment 3"
+        other = error_from_payload(error_payload(ValueError("bad op")),
+                                   types, ServeError)
+        assert type(other) is ServeError
+        assert str(other) == "ValueError: bad op"
+        legacy = error_from_payload("server error", types, ServeError)
+        assert type(legacy) is ServeError
+        assert str(legacy) == "server error"
+        assert type(error_from_payload(
+            None, types, RemoteExecutionError)) is RemoteExecutionError
+
+    @pytest.mark.parametrize("types,fallback", [
+        (_REMOTE_ERROR_TYPES, RemoteExecutionError),
+        (_ERROR_TYPES, ServeError),
+    ], ids=["fabric", "serve"])
+    def test_each_surface_resurrects_its_own_types(self, types,
+                                                   fallback):
+        """Every class in a surface's map comes back as itself with the
+        sender's message untouched; a class outside it comes back as
+        that surface's fallback."""
+        for name, cls in types.items():
+            assert name == cls.__name__
+            error = error_from_payload(error_payload(cls("why")), types,
+                                       fallback)
+            assert type(error) is cls
+            assert str(error) == "why"
+        stray = error_from_payload(error_payload(RuntimeError("why")),
+                                   types, fallback)
+        assert type(stray) is fallback
+        assert str(stray) == "RuntimeError: why"
+
+    def test_misrouted_item_fails_alone_as_the_senders_error(self, rng):
+        """One misrouted item in an ``execute_many`` chunk comes back to
+        the driver as the worker's own ``DeploymentError`` (same
+        message), and its sibling's result is intact."""
+        deployment = tiny_deployment(rng)
+        items = make_items(rng, deployment, count=2)
+        message = {"op": "execute_many",
+                   "items": [{"item_id": items[0].item_id,
+                              "deployment": 0},
+                             {"item_id": items[1].item_id,
+                              "deployment": 3}]}
+        arrays = {f"images:{position}": item.images
+                  for position, item in enumerate(items)}
+        reply, out = read_frame(io.BytesIO(encode_frame(
+            *_handle_request([deployment], message, arrays))))
+        worker = RemoteWorker("127.0.0.1", 1, name="probe")
+        ok, failed = worker._decode_chunk(reply, out,
+                                          _RemoteFlight(list(items)))
+        np.testing.assert_array_equal(
+            ok.logits, execute_item([deployment], items[0]).logits)
+        with pytest.raises(DeploymentError) as local:
+            execute_item([deployment], WorkItem(
+                item_id=items[1].item_id, deployment=3,
+                images=items[1].images))
+        assert type(failed) is DeploymentError
+        assert str(failed) == str(local.value)
 
 
 def wire_arrays(dtype):
