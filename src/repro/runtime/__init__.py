@@ -7,7 +7,9 @@ executors ship (``thread``, ``process``, ``remote`` — the last over
 TCP to a host running ``repro worker --listen``, speaking zero-copy
 RBF1 frames from the first byte); a
 :class:`WorkerGroup` schedules items across any mix of them with work
-stealing, heartbeat liveness tracking and crash requeueing.
+stealing, heartbeat liveness tracking and crash requeueing.  Each item
+resolves one future exactly once, whatever lane finishes it; the fabric
+keeps no result store, so nothing outlives the caller's reference.
 
 The serving pool (``repro.serve.pool.EnginePool``) and the sweep driver
 (``repro.harness.sweep.SweepDriver``) are thin policy layers over this
@@ -50,11 +52,9 @@ from repro.runtime.remote import (
 from repro.runtime.shm import ShmArena, shm_available
 from repro.runtime.work import (
     Deployment,
-    ResultLedger,
     WorkItem,
     WorkResult,
     execute_item,
-    next_idempotency_key,
 )
 from repro.runtime.workers import (
     ProcessWorker,
@@ -76,7 +76,6 @@ __all__ = [
     "ProcessWorker",
     "RegisteredDeployment",
     "RemoteWorker",
-    "ResultLedger",
     "ShmArena",
     "ThreadWorker",
     "WorkItem",
@@ -92,7 +91,6 @@ __all__ = [
     "execute_item",
     "fabric_auth",
     "join_fabric",
-    "next_idempotency_key",
     "normalize_worker_specs",
     "parse_frame_prefix",
     "read_frame",

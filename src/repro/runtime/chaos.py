@@ -17,7 +17,7 @@ injection sites:
   even though the host is healthy (the false-positive case the
   probation machinery must absorb).
 * ``client_frame`` — the serve TCP client asks for each outbound
-  frame's fate: ``"dup"`` sends the frame twice (the exactly-once
+  frame's fate: ``"dup"`` sends the frame twice (the server's keyed
   ledger must answer both identically while executing once), ``"delay"``
   sleeps before sending, ``"drop"`` swallows the frame (the reconnect /
   re-submission path must recover it).

@@ -17,7 +17,11 @@ over it.  Mechanics:
   backlog are requeued on healthy lanes and ``metrics.worker_crashes``
   counts the event.  Only when *no* healthy lane remains do the orphaned
   futures fail.  An item that has crashed ``max_attempts`` lanes is
-  treated as poison and failed instead of requeued.
+  treated as poison and failed instead of requeued.  A requeued item
+  keeps its one future, so it resolves exactly once: a copy whose
+  future a peer already resolved is dropped before dispatch.  The group
+  keeps no result store; keyed dedup of client retries is the serving
+  layer's (:class:`repro.serve.cache.ResultLedger`).
 * **Heartbeats.**  A monitor thread pings idle lanes every
   ``heartbeat_s`` seconds; a lane that stops answering is evicted the
   same way, so a silently dead remote host cannot strand queued work.
@@ -54,8 +58,7 @@ from repro.runtime.chaos import ChaosPolicy
 from repro.telemetry import get_registry
 from repro.telemetry import get_tracer as _get_tracer
 from repro.runtime.registry import DeploymentRegistry
-from repro.runtime.work import (Deployment, ResultLedger, WorkItem,
-                                WorkResult)
+from repro.runtime.work import Deployment, WorkItem, WorkResult
 from repro.runtime.workers import Worker, create_workers
 
 __all__ = ["DEFAULT_DISPATCH_COST_S", "GroupMetrics", "WorkerGroup"]
@@ -114,7 +117,6 @@ class GroupMetrics:
     requeued: int = 0                              # items moved off a crash
     retries: int = 0                               # re-executions (attempt>1)
     poisoned: int = 0                              # retry budget exhausted
-    deduped: int = 0                               # answered from the ledger
     worker_crashes: int = 0                        # lanes evicted
     lanes_added: int = 0                           # lanes admitted live
     lanes_removed: int = 0                         # lanes drained out live
@@ -135,7 +137,6 @@ class GroupMetrics:
             "requeued": self.requeued,
             "retries": self.retries,
             "poisoned": self.poisoned,
-            "deduped": self.deduped,
             "worker_crashes": self.worker_crashes,
             "lanes_added": self.lanes_added,
             "lanes_removed": self.lanes_removed,
@@ -205,7 +206,8 @@ class WorkerGroup:
         (inline thread lanes never pipeline) and at 8.  Windowed-but-
         unsent items stay on the lane's queue, so peers steal them
         exactly as before; an eviction requeues the *entire* in-flight
-        window exactly-once through the result ledger.
+        window, and an item whose future a peer already resolved is
+        dropped at the next dispatch instead of executing again.
     chaos:
         Optional :class:`~repro.runtime.chaos.ChaosPolicy` consulted at
         the group's injection sites (dispatch kills, heartbeat
@@ -213,12 +215,6 @@ class WorkerGroup:
         it per wire exchange).  A kill or corrupted heartbeat is only
         honored while at least one *other* healthy lane exists — chaos
         degrades the group, it never totals it.
-    ledger:
-        Completed-result ledger keyed by :attr:`WorkItem.key` (one is
-        created when omitted).  Re-submissions, crash-requeues and
-        duplicated frames whose key already completed are answered from
-        the ledger instead of executing again — the exactly-once
-        guarantee (``metrics.deduped`` counts those answers).
     """
 
     def __init__(
@@ -234,7 +230,6 @@ class WorkerGroup:
         max_batch_items: int = 8,
         window: int | None = None,
         chaos: ChaosPolicy | None = None,
-        ledger: ResultLedger | None = None,
     ) -> None:
         if not workers:
             raise ConfigurationError("worker group needs >= 1 worker")
@@ -269,7 +264,6 @@ class WorkerGroup:
         # guarded by the group lock.
         self._service_ewma: dict[int, float] = {}
         self.chaos = chaos
-        self.ledger = ledger if ledger is not None else ResultLedger()
         for worker in self.workers:
             worker.chaos = chaos
         self.metrics = GroupMetrics(
@@ -521,18 +515,8 @@ class WorkerGroup:
 
         ``worker`` pins the item to a lane index (static assignment);
         the default picks the live lane with the shortest queue.
-
-        An item whose idempotency key already completed here is
-        answered from the result ledger without touching a lane — a
-        re-submitted (retried, duplicated) request costs one lookup.
         """
         pending = _Pending(item)
-        recorded = self.ledger.get(item.key)
-        if recorded is not None:
-            with self._cond:
-                self.metrics.deduped += 1
-            pending.future.set_result(recorded)
-            return pending.future
         with self._cond:
             if self._stopping:
                 raise ConfigurationError("worker group is stopped")
@@ -556,26 +540,18 @@ class WorkerGroup:
         pendings = [_Pending(item) for item in items]
         if not pendings:
             return []
-        fresh = []
-        for pending in pendings:
-            recorded = self.ledger.get(pending.item.key)
-            if recorded is not None:
-                pending.future.set_result(recorded)
-            else:
-                fresh.append(pending)
         with self._cond:
             if self._stopping:
                 raise ConfigurationError("worker group is stopped")
-            self.metrics.deduped += len(pendings) - len(fresh)
             alive = [i for i in range(len(self.workers))
                      if i not in self._dead]
             if not alive:
-                for pending in fresh:
+                for pending in pendings:
                     pending.future.set_exception(WorkerCrashError(
                         "no healthy worker left in the group"))
                 return [pending.future for pending in pendings]
             loads = {i: len(self._queues[i]) for i in alive}
-            for pending in fresh:
+            for pending in pendings:
                 target = min(alive, key=lambda i: (
                     loads[i], self._busy[i] is not None, i))
                 self._queues[target].append(pending)
@@ -651,9 +627,9 @@ class WorkerGroup:
         half the backlog: a chunk must amortize framing, not vacuum up
         the queue idle peers would have stolen from.  Exactly-once: an
         already-answered item (resolved by a peer while this copy sat
-        queued) or a key the ledger has completed never reaches the
-        lane — those come back in ``ledgered`` for the caller to
-        resolve outside the lock.
+        queued) never reaches the lane.  Each item in the chunk is
+        charged one attempt here, so the dispatcher's own frame keeps no
+        reference to a settled item (and through its future, result).
         """
         candidates = [pending]
         queue = self._queues[index]
@@ -665,22 +641,17 @@ class WorkerGroup:
         while queue and budget > 0:
             candidates.append(queue.popleft())
             budget -= 1
-        batch: list[_Pending] = []
-        ledgered: list[tuple[_Pending, WorkResult]] = []
-        for candidate in candidates:
-            if candidate.future.done():
-                continue
-            recorded = self.ledger.get(candidate.item.key)
-            if recorded is not None:
-                self.metrics.deduped += 1
-                ledgered.append((candidate, recorded))
-            else:
-                batch.append(candidate)
-        return batch, ledgered
+        batch = [candidate for candidate in candidates
+                 if not candidate.future.done()]
+        for candidate in batch:
+            candidate.attempts += 1
+            if candidate.attempts > 1:
+                self.metrics.retries += 1
+        return batch
 
     def _settle_chunk(self, index: int, worker: Worker,
                       batch: list[_Pending], outcomes: list) -> None:
-        """Book a completed chunk: metrics, spans, ledger, futures."""
+        """Book a completed chunk: metrics, spans, futures."""
         completed = sum(1 for outcome in outcomes
                         if isinstance(outcome, WorkResult))
         with self._cond:
@@ -709,8 +680,6 @@ class WorkerGroup:
                     tracer.record_foreign(outcome.spans)
         _fabric_executed(worker.kind, worker.name, completed)
         for pending, outcome in zip(batch, outcomes):
-            if isinstance(outcome, WorkResult):
-                self.ledger.record(pending.item.key, outcome)
             if pending.future.done():
                 continue
             if isinstance(outcome, WorkResult):
@@ -764,7 +733,6 @@ class WorkerGroup:
         window: deque[list[_Pending]] = deque()
         while True:
             batch = None
-            ledgered: list[tuple[_Pending, WorkResult]] = []
             parked = False
             removed = False
             with self._cond:
@@ -777,24 +745,17 @@ class WorkerGroup:
                                                               worker):
                         pending = self._next_pending(index)
                         if pending is not None:
-                            batch, ledgered = self._build_batch_locked(
-                                index, pending)
-                            for item in batch:
-                                item.attempts += 1
-                                if item.attempts > 1:
-                                    self.metrics.retries += 1
+                            batch = self._build_batch_locked(index,
+                                                             pending)
                             break
                     if window:
                         break  # window full or queue empty: collect
                     self._cond.wait(timeout=0.1)
-            for stale, recorded in ledgered:
-                if not stale.future.done():
-                    stale.future.set_result(recorded)
             if parked:
                 self._drain_window(index, worker, window, removed)
                 return
             if batch is not None and not batch:
-                continue  # the whole pull was answered from the ledger
+                continue  # the whole pull was already answered
             if batch:
                 if (self.chaos is not None and self._others_alive(index)
                         and self.chaos.dispatch_fate(worker.name)
@@ -916,16 +877,8 @@ class WorkerGroup:
             alive = [i for i in range(len(self.workers))
                      if i not in self._dead]
             failures = []
-            ledgered = []
             for pending in orphans:
-                recorded = (None if pending.future.done()
-                            else self.ledger.get(pending.item.key))
-                if recorded is not None:
-                    # The dying lane (or a peer) already completed this
-                    # key — answer from the ledger, don't re-execute.
-                    self.metrics.deduped += 1
-                    ledgered.append((pending, recorded))
-                elif pending.attempts >= self.max_attempts:
+                if pending.attempts >= self.max_attempts:
                     self.metrics.poisoned += 1
                     failures.append((pending, WorkerCrashError(
                         f"item {pending.item.item_id} crashed "
@@ -947,9 +900,6 @@ class WorkerGroup:
                     self._queues[target].append(pending)
                     self.metrics.requeued += 1
             self._cond.notify_all()
-        for pending, recorded in ledgered:
-            if not pending.future.done():
-                pending.future.set_result(recorded)
         for pending, failure in failures:
             if not pending.future.done():
                 pending.future.set_exception(failure)

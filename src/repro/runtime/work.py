@@ -22,11 +22,8 @@ deployment and send back logits plus the batch's trace*.
 
 from __future__ import annotations
 
-import itertools
 import os
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,8 +35,8 @@ from repro.core.engine import warm_engine
 from repro.core.engine.trace import BatchTrace, TraceMerge
 from repro.errors import DeploymentError
 
-__all__ = ["Deployment", "ResultLedger", "WorkItem", "WorkResult",
-           "chunk_timeout_s", "execute_item", "next_idempotency_key"]
+__all__ = ["Deployment", "WorkItem", "WorkResult", "chunk_timeout_s",
+           "execute_item"]
 
 
 def chunk_timeout_s(items) -> float | None:
@@ -56,20 +53,6 @@ def chunk_timeout_s(items) -> float | None:
     budgets = [item.timeout_s for item in items
                if item.timeout_s is not None]
     return float(min(budgets)) if budgets else None
-
-_KEY_COUNTER = itertools.count()
-
-
-def next_idempotency_key() -> str:
-    """A process-unique idempotency key (``pid-counter``).
-
-    Every :class:`WorkItem` carries one by default; two *distinct*
-    submissions never share a key, while a re-submission of the *same*
-    item (crash requeue, duplicated frame, client retry) carries the
-    original key — which is what lets a completed-result ledger answer
-    the duplicate without executing it twice.
-    """
-    return f"{os.getpid():x}-{next(_KEY_COUNTER):x}"
 
 
 @dataclass(frozen=True)
@@ -128,11 +111,6 @@ class WorkItem:
     #: lane-side execute span lands in the submitter's trace whether the
     #: lane is a thread, a forked child or a remote TCP worker.
     trace: dict | None = None
-    #: Idempotency key — stable across re-submissions of the *same*
-    #: logical item, unique across distinct ones.  The group's result
-    #: ledger dedups on it, so a duplicated or retried item is answered
-    #: from the ledger instead of executing twice.
-    key: str = field(default_factory=next_idempotency_key)
 
     @property
     def num_images(self) -> int:
@@ -162,74 +140,6 @@ class WorkResult:
     def merged_trace(self) -> TraceMerge:
         """The whole item as one aggregate (exact integer sums)."""
         return self.trace.merged()
-
-
-class ResultLedger:
-    """Bounded completed-result map keyed by idempotency key.
-
-    The exactly-once backstop: whoever completes work records the result
-    under the item's key; whoever is handed the *same* key again — a
-    crash-requeued item that already finished, a duplicated wire frame,
-    a client re-submission after reconnect — is answered from the ledger
-    instead of executing again.  Results are bit-identical either way
-    (the fabric contract), so the ledger changes *work done*, never
-    *answers given*.
-
-    Capacity-bounded LRU: the oldest entry falls out once ``capacity``
-    is exceeded, keeping a long-lived server's memory flat.  A key
-    falling out re-opens the (tiny) window for duplicate execution —
-    which is safe, just wasteful — so size the capacity to cover the
-    client retry horizon, not the full run.
-    """
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError(f"ledger capacity must be >= 1, "
-                             f"got {capacity}")
-        self.capacity = capacity
-        self.duplicates = 0              # lookups answered from the ledger
-        self._entries: OrderedDict[str, object] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def record(self, key: str, result) -> bool:
-        """Store a completed result; False if the key was already there
-        (a duplicate execution completed — the stored result wins)."""
-        if not key:
-            return True
-        with self._lock:
-            if key in self._entries:
-                self.duplicates += 1
-                return False
-            self._entries[key] = result
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-            return True
-
-    def get(self, key: str):
-        """The recorded result for a key (None = never completed here);
-        a hit counts as a deduplicated answer."""
-        if not key:
-            return None
-        with self._lock:
-            result = self._entries.get(key)
-            if result is not None:
-                self._entries.move_to_end(key)
-                self.duplicates += 1
-            return result
-
-    def peek(self, key: str) -> bool:
-        """Whether a key has completed, without counting a duplicate."""
-        with self._lock:
-            return key in self._entries
-
-    def to_dict(self) -> dict:
-        with self._lock:
-            return {"entries": len(self._entries),
-                    "capacity": self.capacity,
-                    "duplicates": self.duplicates}
 
 
 def execute_item(deployments, item: WorkItem,

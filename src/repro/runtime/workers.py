@@ -509,9 +509,18 @@ class ProcessWorker(Worker):
             self.close()
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            # Reap the child and the pool's manager thread here: left to
+            # interpreter exit, concurrent.futures' exit hook can write
+            # to the pool's already-closed wakeup pipe.  A child with
+            # work pending (a blown budget, a hung probe, an eviction
+            # mid-chunk) is terminated first, so closing never waits on
+            # its work; an idle child exits on the shutdown sentinel.
+            if pool._pending_work_items:
+                for process in list((pool._processes or {}).values()):
+                    process.terminate()
+            pool.shutdown(wait=True, cancel_futures=True)
         self._outstanding.clear()
         for slot, arena in enumerate(self._arenas):
             if arena is not None:

@@ -1,4 +1,5 @@
-"""Content-addressed result cache for the inference server.
+"""The inference server's two result stores: a content cache and a keyed
+ledger.
 
 The fabric's determinism contract makes inference a pure function of
 ``(deployment content, image bytes)`` — the same image on the same
@@ -11,10 +12,10 @@ ever sees it.
 
 Duplicate-heavy load is the norm, not the edge case: retried frames,
 health-check canaries, fixed test vectors, and replayed capture files
-all resend byte-identical images.  The idempotency-key ledger only
-dedups *cooperating* clients (same key); the result cache dedups by
-*content*, so two unrelated clients sending the same image share one
-execution.
+all resend byte-identical images.  The idempotency-key ledger
+(:class:`ResultLedger`) only dedups *cooperating* clients (same key);
+the result cache dedups by *content*, so two unrelated clients sending
+the same image share one execution.
 
 The key is content on both sides — :attr:`Deployment.fingerprint`
 hashes the network weights, config and calibration, so a blue/green
@@ -34,7 +35,7 @@ import numpy as np
 
 from repro.telemetry import get_registry
 
-__all__ = ["ResultCache", "batch_digest"]
+__all__ = ["ResultCache", "ResultLedger", "batch_digest"]
 
 
 def batch_digest(images: np.ndarray) -> str:
@@ -126,3 +127,62 @@ class ResultCache:
                     "hits": self.hits,
                     "misses": self.misses,
                     "evictions": self.evictions}
+
+
+class ResultLedger:
+    """Bounded completed-result map keyed by client idempotency key.
+
+    The server's exactly-once store: a completed request's result is
+    recorded under its key, and a re-submission of the *same* key — a
+    duplicated wire frame, a client retry after reconnect — is answered
+    from the ledger instead of executing again.  Results are
+    bit-identical either way (the fabric contract), so the ledger
+    changes *work done*, never *answers given*.
+
+    Capacity-bounded LRU: the oldest entry falls out once ``capacity``
+    is exceeded, keeping a long-lived server's memory flat.  A key
+    falling out re-opens the (tiny) window for duplicate execution —
+    which is safe, just wasteful — so size the capacity to cover the
+    client retry horizon, not the full run.
+    """
+
+    def __init__(self, capacity: int = 4096) -> None:
+        if capacity < 1:
+            raise ValueError(f"ledger capacity must be >= 1, "
+                             f"got {capacity}")
+        self.capacity = capacity
+        self.duplicates = 0              # lookups answered from the ledger
+        self._entries: OrderedDict[str, object] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def record(self, key: str, result) -> bool:
+        """Store a completed result; False if the key was already there
+        (a duplicate execution completed — the stored result wins)."""
+        if not key:
+            return True
+        with self._lock:
+            if key in self._entries:
+                self.duplicates += 1
+                return False
+            self._entries[key] = result
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+            return True
+
+    def get(self, key: str):
+        """The recorded result for a key (None = never completed here);
+        a hit counts as a deduplicated answer."""
+        if not key:
+            return None
+        with self._lock:
+            result = self._entries.get(key)
+            if result is not None:
+                self._entries.move_to_end(key)
+                self.duplicates += 1
+            return result
+
+    def to_dict(self) -> dict:
+        with self._lock:
+            return {"entries": len(self._entries),
+                    "capacity": self.capacity,
+                    "duplicates": self.duplicates}

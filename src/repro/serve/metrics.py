@@ -104,7 +104,8 @@ class MetricsSnapshot:
     #: per-deployment snapshots themselves and single-model servers.
     per_deployment: dict | None = None
     #: The runtime fabric's scheduling counters (``GroupMetrics.to_dict``
-    #: — executed/stolen/requeued/retries/poisoned/deduped/...) on the
+    #: — executed/stolen/requeued/retries/poisoned/...) plus the
+    #: server's ``request_ledger`` and ``result_cache`` state on the
     #: aggregate snapshot of a running server; ``None`` elsewhere.
     fabric: dict | None = None
 

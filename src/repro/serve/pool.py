@@ -158,10 +158,6 @@ class EnginePool:
             self._group = None
             raise
 
-    def ledger_metrics(self) -> dict:
-        """The exactly-once result ledger's counters (diagnostics)."""
-        return self._group.ledger.to_dict() if self._group else {}
-
     def add_deployment(self, name: str, deployment=None,
                        **register_kwargs) -> RegisteredDeployment:
         """Register a deployment and push it to the **live** lane group.
@@ -183,7 +179,6 @@ class EnginePool:
     async def run_batch(
         self, images: np.ndarray, deployment: int = 0,
         timeout_s: float | None = None,
-        key: str | None = None,
         trace: dict | None = None,
     ) -> tuple[np.ndarray, BatchTrace]:
         """Execute one micro-batch on the next free warm lane.
@@ -192,25 +187,15 @@ class EnginePool:
         against (the server resolves names to indices before calling).
         Returns ``(logits, batch trace)``; a crashed lane
         is evicted and the batch re-runs on a healthy one before this
-        resolves.  ``key`` pins the batch's idempotency key (a retried
-        batch carrying the same key is answered from the group's result
-        ledger instead of executing again); omitted, a fresh key is
-        generated.  ``trace`` is an optional propagation context — the
+        resolves.  ``trace`` is an optional propagation context — the
         lane that executes the batch emits its span into that trace,
         whatever kind of lane it is.
         """
         if not self.started:
             raise ServeError("engine pool is not started")
-        if key is None:
-            item = WorkItem(item_id=next(self._item_ids),
-                            deployment=deployment,
-                            images=images, timeout_s=timeout_s,
-                            trace=trace)
-        else:
-            item = WorkItem(item_id=next(self._item_ids),
-                            deployment=deployment,
-                            images=images, timeout_s=timeout_s,
-                            trace=trace, key=key)
+        item = WorkItem(item_id=next(self._item_ids),
+                        deployment=deployment, images=images,
+                        timeout_s=timeout_s, trace=trace)
         future = self._group.submit(item)
         result = await asyncio.wrap_future(future)
         return result.logits, result.trace
@@ -224,9 +209,8 @@ class EnginePool:
         """Execute one batch ``replicas`` times and runtime-assert the
         answers bit-identical before returning one of them.
 
-        Every replica is a distinct submission (fresh idempotency keys,
-        so the ledger cannot collapse them) that the group spreads over
-        its lanes.  ``quorum`` (default: all replicas) is how many must
+        Every replica is a distinct submission that the group spreads
+        over its lanes.  ``quorum`` (default: all replicas) is how many must
         *answer*: with lanes dying mid-drill, up to ``replicas -
         quorum`` replica failures are tolerated.  Any two successful
         replicas disagreeing on logits or traces — impossible unless

@@ -50,9 +50,8 @@ from repro.errors import (
     ShapeError,
 )
 from repro.runtime import DeploymentRegistry, RegisteredDeployment
-from repro.runtime.work import ResultLedger
 from repro.serve.batcher import Batcher, BatchPolicy, create_policy
-from repro.serve.cache import ResultCache, batch_digest
+from repro.serve.cache import ResultCache, ResultLedger, batch_digest
 from repro.serve.metrics import MetricsSnapshot, ServerMetrics
 from repro.serve.pool import EnginePool
 from repro.telemetry import get_registry, get_tracer
@@ -719,7 +718,8 @@ class InferenceServer:
         the aggregate — which, on a multi-model server, carries every
         deployment's snapshot under ``per_deployment`` and the runtime
         fabric's scheduling counters (requeued / retries / poisoned /
-        deduped, plus the result-ledger state) under ``fabric``.
+        stolen, plus the request-ledger and result-cache state) under
+        ``fabric``.
         """
         if deployment is not None:
             lane = self._resolve_lane(deployment)
@@ -734,7 +734,6 @@ class InferenceServer:
         fabric = None
         if self.pool.started:
             fabric = self.pool.group_metrics()
-            fabric["ledger"] = self.pool.ledger_metrics()
             fabric["request_ledger"] = self._request_ledger.to_dict()
             fabric["result_cache"] = self.result_cache.to_dict()
         return self.metrics.snapshot(

@@ -48,6 +48,8 @@ not a hardened RPC layer; the in-process API is the primary interface.
 from __future__ import annotations
 
 import asyncio
+import itertools
+import os
 
 import numpy as np
 
@@ -72,10 +74,23 @@ from repro.runtime.codec import (
     parse_frame_prefix,
 )
 from repro.runtime.remote import _backoff_delay
-from repro.runtime.work import next_idempotency_key
 from repro.serve.server import InferenceServer
 
-__all__ = ["TcpClient", "start_tcp_server"]
+__all__ = ["TcpClient", "next_idempotency_key", "start_tcp_server"]
+
+_KEY_COUNTER = itertools.count()
+
+
+def next_idempotency_key() -> str:
+    """A process-unique idempotency key (``pid-counter``).
+
+    Every ``infer`` carries one by default; two *distinct* requests
+    never share a key, while a re-send of the *same* request (reconnect
+    retry, duplicated frame) carries the original key — which is what
+    lets the server's :class:`~repro.serve.cache.ResultLedger` answer
+    the duplicate without executing it twice.
+    """
+    return f"{os.getpid():x}-{next(_KEY_COUNTER):x}"
 
 #: Error types a structured reply can resurrect client-side; anything
 #: else degrades to plain :class:`ServeError`.
@@ -120,10 +135,9 @@ async def _read_frame_async(reader: asyncio.StreamReader):
 async def _handle_connection(server: InferenceServer,
                              reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter,
-                             chaos=None) -> None:
+                             chaos=None, lane: str = "conn") -> None:
     write_lock = asyncio.Lock()
     pending: set[asyncio.Task] = set()
-    peer = str(writer.get_extra_info("peername"))
 
     async def respond(payload: dict, arrays: dict | None = None) -> None:
         async with write_lock:
@@ -206,7 +220,7 @@ async def _handle_connection(server: InferenceServer,
             task = asyncio.create_task(serve_one(*frame))
             pending.add(task)
             task.add_done_callback(pending.discard)
-            if chaos is not None and chaos.server_hangup(peer):
+            if chaos is not None and chaos.server_hangup(lane):
                 # Hang up mid-conversation: in-flight requests on this
                 # connection die unanswered and the client's reconnect /
                 # re-submission machinery has to recover them.
@@ -233,12 +247,16 @@ async def start_tcp_server(
     callers (and tests) can hand it to clients.  ``chaos``
     (a :class:`~repro.runtime.ChaosPolicy`) makes the transport hang
     connections up per its ``server_hangup`` schedule — the fault drill
-    for client reconnects.
+    for client reconnects.  Each connection draws as its own chaos lane,
+    named by its accept order (``conn-0``, ``conn-1``, ...), so a seed
+    replays the same hangups whatever ephemeral port the client got.
     """
     if not server.running:
         raise ServeError("start the InferenceServer before the transport")
+    accepted = itertools.count()
     tcp = await asyncio.start_server(
-        lambda r, w: _handle_connection(server, r, w, chaos=chaos),
+        lambda r, w: _handle_connection(server, r, w, chaos=chaos,
+                                        lane=f"conn-{next(accepted)}"),
         host, port)
     bound_port = tcp.sockets[0].getsockname()[1]
     return tcp, bound_port

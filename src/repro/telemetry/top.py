@@ -123,8 +123,7 @@ def render_top(snapshot: dict, telemetry: dict | None = None,
             f"retries={fabric.get('retries', 0)} "
             f"requeued={fabric.get('requeued', 0)} "
             f"crashes={fabric.get('worker_crashes', 0)} "
-            f"poisoned={fabric.get('poisoned', 0)} "
-            f"deduped={fabric.get('deduped', 0)}")
+            f"poisoned={fabric.get('poisoned', 0)}")
     cache = fabric.get("result_cache")
     if cache:
         lines.append(

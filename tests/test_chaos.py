@@ -7,10 +7,10 @@ The contracts pinned here:
   schedules, a fault budget, and an event log for post-run assertions;
 * killing a lane / severing a remote connection mid-run degrades the
   group, never the answer: results stay bit-identical to a serial run
-  and the exactly-once ledger keeps duplicates out;
+  and every requeued item resolves its one future exactly once;
 * the serve TCP client survives duplicated, delayed and dropped frames
   and server hang-ups — every request is answered exactly once (the
-  idempotency key + result ledger pair), reconnects are counted;
+  idempotency key + the server's result ledger), reconnects are counted;
 * replicated serving answers are runtime-asserted bit-identical, and a
   blue/green alias flip under live load drops nothing.
 
@@ -42,11 +42,11 @@ from repro.runtime import (
     WorkerServer,
     create_workers,
     join_fabric,
-    next_idempotency_key,
 )
 from repro.runtime.remote import _backoff_delay
-from repro.runtime.work import ResultLedger
 from repro.serve import InferenceServer, TcpClient, start_tcp_server
+from repro.serve.cache import ResultLedger
+from repro.serve.transport import next_idempotency_key
 
 
 pytestmark = pytest.mark.usefixtures("fabric_leak_check")
@@ -137,12 +137,15 @@ class TestLedger:
         ledger = ResultLedger(capacity=2)
         ledger.record("a", 1)
         ledger.record("b", 2)
-        assert ledger.peek("a") is True
         assert ledger.get("a") == 1        # counted as a duplicate hit
         assert ledger.duplicates == 1
         ledger.record("c", 3)               # evicts the LRU entry
-        assert ledger.peek("b") is False
-        assert ledger.peek("a") is True     # touched above, kept
+        assert ledger.get("b") is None      # a miss counts nothing
+        assert ledger.get("a") == 1         # touched above, kept
+        assert ledger.to_dict() == {"entries": 2, "capacity": 2,
+                                    "duplicates": 2}
+        assert ledger.record("a", 9) is False   # the stored result wins
+        assert ledger.get("a") == 1
 
     def test_keys_are_unique(self):
         keys = {next_idempotency_key() for _ in range(512)}
@@ -215,22 +218,6 @@ class TestGroupUnderChaos:
             assert len(group.alive_workers()) == 1
             results = group.run(items)
         assert_bit_identical(baseline, results)
-
-    def test_duplicate_key_answered_from_ledger(self, rng):
-        deployment = tiny_deployment(rng)
-        [item] = make_items(rng, deployment, count=1)
-        with WorkerGroup([ThreadWorker(name="only")],
-                         deployments=[deployment]) as group:
-            first = group.submit(item).result(timeout=60)
-            dup = WorkItem(item_id=99, deployment=0,
-                           images=rng.random((2,) + deployment.network
-                                             .input_shape),
-                           key=item.key)
-            second = group.submit(dup).result(timeout=60)
-            assert group.metrics.deduped == 1
-            assert group.metrics.executed["only"] == 1
-        np.testing.assert_array_equal(first.logits, second.logits)
-        assert first.merged_trace() == second.merged_trace()
 
     def test_windowed_process_kill_requeues_whole_window(self, rng):
         """SIGKILL with W=2 chunks in flight: every windowed item —
@@ -412,6 +399,31 @@ class TestServeUnderChaos:
         hangups = sum(1 for e in chaos.events if e.action == "hangup")
         assert hangups >= 1
         assert reconnects >= 1
+
+    def test_hangup_schedule_replays_by_connection_order(self, rng):
+        """A transport's chaos lanes are its connections' accept order,
+        not their ephemeral peer ports, so one seed replays one hangup
+        schedule run after run."""
+        network = tiny_network(rng)
+        images = rng.random((6,) + network.input_shape)
+
+        async def main():
+            async with InferenceServer(network, max_batch=4) as server:
+                chaos = ChaosPolicy(seed=4, server_hangup_prob=0.35,
+                                    max_faults=3)
+                tcp, port = await start_tcp_server(server, chaos=chaos)
+                client = TcpClient("127.0.0.1", port, retries=6,
+                                   retry_base_s=0.01)
+                async with client:
+                    for image in images:
+                        await client.infer(image)
+                tcp.close()
+                await tcp.wait_closed()
+                return [(e.lane, e.draw) for e in chaos.events]
+
+        first = asyncio.run(main())
+        assert first and first == asyncio.run(main())
+        assert first[0][0] == "conn-0"
 
     def test_duplicate_submit_while_inflight_shares_result(self, rng):
         network = tiny_network(rng)

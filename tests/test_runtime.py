@@ -17,6 +17,7 @@ The contracts pinned here:
   serial run bit for bit.
 """
 
+import gc
 import io
 import os
 import pickle
@@ -25,6 +26,7 @@ import socket
 import threading
 import time
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -269,7 +271,7 @@ class TestCrashRecovery:
                                 ThreadWorker(name="b")],
                                deployment, items)
         payload = metrics.to_dict()
-        for counter in ("requeued", "retries", "poisoned", "deduped"):
+        for counter in ("requeued", "retries", "poisoned"):
             assert payload[counter] == 0
         assert metrics.worker_crashes == 0
 
@@ -669,3 +671,52 @@ class TestInlineChunks:
         worker.close()
         with pytest.raises(WorkerCrashError):
             worker.collect_chunk()
+
+
+class TestBounds:
+    """The fabric holds nothing the caller has let go of."""
+
+    @pytest.mark.parametrize("specs", [["thread", "thread"],
+                                       ["thread", "process"]])
+    def test_dropped_results_are_freed(self, rng, specs):
+        """After ``run`` returns, the caller's references are the only
+        ones to each ``WorkResult``: a live group keeps no result store,
+        so dropping them frees every result (and its logits/trace)."""
+        deployment = tiny_deployment(rng)
+        items = make_items(rng, deployment, count=8)
+        with WorkerGroup(create_workers(specs),
+                         deployments=[deployment]) as group:
+            results = group.run(items)
+            refs = [weakref.ref(result) for result in results]
+            del results
+            gc.collect()
+            alive = [ref() for ref in refs if ref() is not None]
+            assert not alive, (
+                f"{len(alive)} of {len(refs)} results outlived the caller")
+
+
+class TestProcessClose:
+    """``ProcessWorker.close`` reaps its child before it returns."""
+
+    def test_close_reaps_an_idle_child(self, rng):
+        worker = ProcessWorker()
+        worker.start()
+        worker.deploy([tiny_deployment(rng)])
+        pid = worker.pid
+        worker.close()
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)           # exited and reaped, not a zombie
+
+    def test_blown_budget_terminates_a_hung_child(self, rng):
+        """The timeout path closes the lane without waiting on the hung
+        call: the child is terminated, then reaped."""
+        worker = ProcessWorker()
+        worker.start()
+        worker.deploy([tiny_deployment(rng)])
+        pid = worker.pid
+        started = time.monotonic()
+        with pytest.raises(WorkerCrashError):
+            worker._submit(time.sleep, 60, timeout_s=0.2)
+        assert time.monotonic() - started < 10
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)

@@ -501,7 +501,8 @@ class TestServingOnFabric:
 
     def test_snapshot_surfaces_fabric_counters_and_ledger(self, rng):
         """A fabric-backed server's snapshot carries the scheduling
-        counters and the exactly-once ledger state under ``fabric``."""
+        counters and the server's exactly-once request ledger under
+        ``fabric`` — the fabric itself keeps no ledger."""
         net = tiny_network(rng)
         images = tiny_images(rng, net, 4)
 
@@ -513,10 +514,11 @@ class TestServingOnFabric:
 
         payload = asyncio.run(main())
         fabric = payload["fabric"]
-        for counter in ("requeued", "retries", "poisoned", "deduped"):
+        for counter in ("requeued", "retries", "poisoned"):
             assert fabric[counter] == 0
-        assert fabric["ledger"]["capacity"] >= 1
-        assert fabric["ledger"]["duplicates"] == 0
+        assert "ledger" not in fabric and "deduped" not in fabric
+        assert fabric["request_ledger"]["capacity"] >= 1
+        assert fabric["request_ledger"]["duplicates"] == 0
 
 
 class _GatedPool(EnginePool):

@@ -408,7 +408,7 @@ class TestExposition:
                             "queue_wait_ms": {"p99": 2.0}}},
             "fabric": {"executed": {"thread-0": 10}, "stolen": 3,
                        "batched": 2, "retries": 0, "requeued": 0,
-                       "worker_crashes": 0, "poisoned": 0, "deduped": 0,
+                       "worker_crashes": 0, "poisoned": 0,
                        "heartbeat_age_s": {"thread-0": 0.4}},
         }
         telemetry = {
@@ -422,7 +422,7 @@ class TestExposition:
         assert "repro top - 127.0.0.1:7000" in frame
         assert "lenet:3" in frame and "123.4" in frame
         assert "thread-0" in frame and "0.4" in frame
-        assert "stolen=3" in frame
+        assert "stolen=3" in frame and "deduped=" not in frame
         assert "site=dispatch,action=kill: 2" in frame.replace(
             "action=kill,site=dispatch", "site=dispatch,action=kill")
         assert "tracing: 70 spans recorded" in frame
