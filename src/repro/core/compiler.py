@@ -115,10 +115,13 @@ def compile_network(
                     f"unit's {config.conv_unit.rows} adder rows"
                 )
             schedule = _schedule_conv(spec, config)
+            # Tap-major (C_out, kr, kc, C_in): the column order of the
+            # engines' channel-last patch matrix.
             programs.append(LayerProgram(
                 index=i, name=name, kind="conv", spec=spec,
                 conv_schedule=schedule, weights_on_chip=weights_on_chip,
-                gemm=GemmWeights(spec.weights, network.num_steps)))
+                gemm=GemmWeights(spec.weights.transpose(0, 2, 3, 1),
+                                 network.num_steps)))
         elif spec.kind == "pool":
             if spec.size > config.pool_unit.rows:
                 raise CompilationError(

@@ -5,10 +5,23 @@ beyond a handful of images intractable in Python.  This backend exploits
 that the accelerator's arithmetic is *linear per layer*: summing binary
 spike planes with a left-shifting accumulator over ``T`` steps is exactly
 one integer convolution / pooling / matmul over the radix-decoded
-activations.  It therefore runs each layer as a single im2col-GEMM (or
-window-sum / matmul) over the whole batch and requantizes with the shared
-:func:`~repro.snn.spec.requantize` contract — bit-identical logits by
-construction.
+activations.  It therefore runs each layer as a single GEMM over
+unfolded patches (or window-sum / matmul) over the whole batch and
+requantizes with the shared :func:`~repro.snn.spec.requantize` contract
+— bit-identical logits by construction.
+
+Channel-last activations: like the paper's conv unit, which reads every
+input channel of a kernel row in one pass, the engine holds activations
+as C-contiguous ``(N, H, W, C)`` tensors from the quantized input (made
+contiguous once) to the last pool; ``flatten`` reads them out in
+``(C, H, W)`` order, so the linear weights keep their layout.  A conv
+widens and zero-pads its input in one pass into a fresh C-contiguous
+float buffer, where a kernel row's ``kc`` taps over all ``C_in``
+channels are one contiguous run of ``kc * C_in`` values; one strided
+view and one copy then give the ``(M, kr * kc * C_in)`` patch matrix.
+Its columns are tap-major, matching the compiled weight matrix
+(``weights.transpose(0, 2, 3, 1)``, ``(C_out, kr * kc * C_in)``), and
+its GEMM rows are already the channel-last output — no transpose back.
 
 Why the floating-point GEMMs are exact: activations are integers in
 ``[0, 2**T - 1]`` and weights small signed integers, so every partial
@@ -73,6 +86,7 @@ from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.core.compiler import LayerProgram
 from repro.core.engine.base import ExecutionEngine, register_engine
@@ -85,7 +99,6 @@ from repro.core.latency import (
 )
 from repro.encoding import radix
 from repro.errors import SimulationError
-from repro.nn import functional as F
 from repro.snn.spec import requantize
 
 __all__ = ["VectorizedEngine"]
@@ -119,6 +132,7 @@ class VectorizedEngine(ExecutionEngine):
         images = self._check_batch(images)
         x = radix.quantize_real(images, self.compiled.network.num_steps,
                                 self._activation_dtype)
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1))  # channel-last
         programs = self.compiled.programs
         adder_ops = np.zeros((x.shape[0], len(programs)), dtype=np.int64)
         logits: np.ndarray | None = None
@@ -131,7 +145,9 @@ class VectorizedEngine(ExecutionEngine):
                 x, adder_ops[:, column] = self._run_pool(program, x, cover,
                                                          silent)
             elif program.kind == "flatten":
-                x = x.reshape(x.shape[0], -1)  # no adds: a buffer move
+                # No adds: a buffer move, read out in the (C, H, W)
+                # order the first linear layer's weights expect.
+                x = x.transpose(0, 3, 1, 2).reshape(x.shape[0], -1)
             else:  # linear
                 x, adder_ops[:, column] = self._run_linear(program, x,
                                                            cover, silent)
@@ -167,11 +183,10 @@ class VectorizedEngine(ExecutionEngine):
             elif program.kind == "linear" and spec.is_output:
                 rows.append(spec.bias.astype(np.int64))
             else:
-                row = self._requantize(
-                    spec, np.zeros((1, len(spec.bias)), dtype=np.int64))[0]
-                # A conv row broadcasts over the output plane.
-                rows.append(row.reshape(-1, 1, 1) if program.kind == "conv"
-                            else row)
+                # A conv row broadcasts over the channel-last output
+                # plane as it stands.
+                rows.append(self._requantize(
+                    spec, np.zeros((1, len(spec.bias)), dtype=np.int64))[0])
         return tuple(rows)
 
     @cached_property
@@ -198,12 +213,13 @@ class VectorizedEngine(ExecutionEngine):
                 c_in, h_in, w_in = spec.in_shape
                 line = _window_cover(w_in, spec.padding, spec.out_shape[2],
                                      spec.stride, spec.kernel_size[1])
-                cover = np.broadcast_to(line, (c_in, h_in, w_in))
+                cover = np.broadcast_to(line[:, None], (h_in, w_in, c_in))
             elif program.kind == "pool":
                 c_in, h_in, w_in = spec.in_shape
                 line = _window_cover(h_in, 0, spec.out_shape[1],
                                      spec.stride, spec.size)
-                cover = np.broadcast_to(line[:, None], (c_in, h_in, w_in))
+                cover = np.broadcast_to(line[:, None, None],
+                                        (h_in, w_in, c_in))
             elif program.kind == "linear":
                 cover = np.ones(spec.in_features, dtype=np.int64)
             else:
@@ -250,20 +266,31 @@ class VectorizedEngine(ExecutionEngine):
 
     def _conv_out(self, program: LayerProgram,
                   x: np.ndarray) -> np.ndarray:
-        """Convolution activations, ``(N, C_out, H_out, W_out)``."""
+        """Convolution activations, ``(N, H_out, W_out, C_out)``.
+
+        The patch view's last axis, a kernel row's ``kc * C_in`` values,
+        is one contiguous run only because ``padded`` is a fresh
+        C-contiguous buffer (see the module docstring).
+        """
         spec = program.spec
-        n = x.shape[0]
+        n, h, w, c_in = x.shape
+        kr, kc = spec.kernel_size
+        pad, stride = spec.padding, spec.stride
         c_out, h_out, w_out = spec.out_shape
-        cols = F.im2col(x.astype(program.gemm.dtype), spec.kernel_size,
-                        spec.stride, spec.padding)
-        out = self._requantize(
-            spec, program.gemm.products(cols.reshape(-1, cols.shape[-1])))
-        return (out.reshape(n, h_out * w_out, c_out).transpose(0, 2, 1)
-                .reshape(n, c_out, h_out, w_out))
+        padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c_in),
+                          dtype=program.gemm.dtype)
+        padded[:, pad:pad + h, pad:pad + w] = x
+        sn, sh, sw, sc = padded.strides
+        patches = as_strided(
+            padded, shape=(n, h_out, w_out, kr, kc * c_in),
+            strides=(sn, sh * stride, sw * stride, sh, sc), writeable=False)
+        cols = patches.reshape(n * h_out * w_out, kr * kc * c_in)
+        return self._requantize(spec, program.gemm.products(cols)).reshape(
+            n, h_out, w_out, c_out)
 
     def _pool_out(self, program: LayerProgram,
                   x: np.ndarray) -> np.ndarray:
-        """Window sums shifted down, ``(N,) + spec.out_shape``.
+        """Window sums shifted down, ``(N, H_out, W_out, C)``.
 
         The sums accumulate in the narrowest type holding a full window,
         ``size**2 * (2**T - 1)``, one strided slice per window offset.
@@ -271,7 +298,7 @@ class VectorizedEngine(ExecutionEngine):
         spec = program.spec
         _, h_out, w_out = spec.out_shape
         size, stride = spec.size, spec.stride
-        windows = [x[:, :, i:i + stride * h_out:stride,
+        windows = [x[:, i:i + stride * h_out:stride,
                      j:j + stride * w_out:stride]
                    for i in range(size) for j in range(size)]
         sums = windows[0].astype(np.min_scalar_type(
@@ -311,7 +338,7 @@ class VectorizedEngine(ExecutionEngine):
         # of every output channel's slot.
         spikes = self._popcount_sum(x, cover)
         out = _on_live(self._conv_out, program, x, spikes > 0,
-                       spec.out_shape, silent)
+                       _channel_last(spec.out_shape), silent)
         return out, spec.kernel_size[0] * spec.out_shape[0] * spikes
 
     def _run_pool(self, program: LayerProgram, x: np.ndarray,
@@ -319,7 +346,8 @@ class VectorizedEngine(ExecutionEngine):
                   ) -> tuple[np.ndarray, np.ndarray]:
         spikes = self._popcount_sum(x, cover)
         return _on_live(self._pool_out, program, x, spikes > 0,
-                        program.spec.out_shape, silent), spikes
+                        _channel_last(program.spec.out_shape),
+                        silent), spikes
 
     def _run_linear(self, program: LayerProgram, x: np.ndarray,
                     cover: np.ndarray, silent: np.ndarray
@@ -330,6 +358,12 @@ class VectorizedEngine(ExecutionEngine):
                        (spec.out_features,), silent)
         # Each input spike gates one add in every parallel output's adder.
         return out, spikes * spec.out_features
+
+
+def _channel_last(shape: tuple) -> tuple:
+    """A ``(C, H, W)`` layer shape as the engine holds it, ``(H, W, C)``."""
+    c, h, w = shape
+    return h, w, c
 
 
 def _window_cover(length: int, padding: int, count: int, stride: int,

@@ -59,6 +59,7 @@ anything, and the join handshake is verified in both directions.
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import random
@@ -260,6 +261,7 @@ class WorkerServer:
         self._connections: set[socket.socket] = set()
         self._conn_lock = threading.Lock()
         self._closing = threading.Event()
+        self._accepted = itertools.count()
 
     @property
     def running(self) -> bool:
@@ -291,20 +293,22 @@ class WorkerServer:
                 conn, _ = self._sock.accept()
             except OSError:
                 return  # socket closed by close()
+            # Each connection draws chaos as its own lane, named by
+            # accept order, so a seed replays whatever port was bound.
             handler = threading.Thread(
-                target=self._serve_connection, args=(conn,),
+                target=self._serve_connection,
+                args=(conn, f"conn-{next(self._accepted)}"),
                 name="repro-worker-conn", daemon=True)
             with self._conn_lock:
                 self._connections.add(conn)
                 self._handlers.add(handler)
             handler.start()
 
-    def _serve_connection(self, conn: socket.socket) -> None:
+    def _serve_connection(self, conn: socket.socket, lane: str) -> None:
         try:
             with conn, conn.makefile("rb") as reader:
                 _serve_requests(conn, reader, token=self.token,
-                                chaos=self.chaos,
-                                lane=f"{self.host}:{self.port}",
+                                chaos=self.chaos, lane=lane,
                                 window=self.window)
         except (ConnectionError, OSError):
             pass  # peer vanished; nothing to answer

@@ -291,8 +291,13 @@ class TcpClient:
         self.retry_base_s = retry_base_s
         self.retry_cap_s = retry_cap_s
         #: Optional ChaosPolicy: outbound frames consult ``frame_fate``
-        #: (drop / dup / delay) — the client-side fault drill.
+        #: (drop / dup / delay) — the client-side fault drill.  Each
+        #: connection draws as its own lane, named by this client's
+        #: connect order (``conn-0``, ``conn-1``, ...), so a seed replays
+        #: the same fates whatever ephemeral port the server got.
         self.chaos = chaos
+        self._connects = itertools.count()
+        self._lane = "conn-0"
         self.reconnects = 0   # successful re-connections
         self.resends = 0      # requests re-submitted after a drop
         self._reader: asyncio.StreamReader | None = None
@@ -306,6 +311,7 @@ class TcpClient:
     async def connect(self) -> "TcpClient":
         self._reader, self._writer = await asyncio.open_connection(
             self.host, self.port)
+        self._lane = f"conn-{next(self._connects)}"
         self._reader_task = asyncio.create_task(self._read_loop())
         return self
 
@@ -369,7 +375,7 @@ class TcpClient:
             self._pending.pop(request_id, None)
             raise _ConnectionLost("connection closed")
         data = encode_frame(payload, arrays or {})
-        fate = (self.chaos.frame_fate(f"{self.host}:{self.port}")
+        fate = (self.chaos.frame_fate(self._lane)
                 if self.chaos is not None else None)
         if fate == "drop":
             # The frame never reaches the wire; fail exactly like a cut

@@ -128,6 +128,15 @@ def brute_force_cover(program):
     return np.broadcast_to(np.array(line)[:, None], spec.in_shape)
 
 
+def channel_major(program, cover):
+    """A flat cover in the ``(C, H, W)`` order of ``spec.in_shape``: the
+    engine holds conv and pool inputs channel-last, ``(H, W, C)``."""
+    if program.kind == "linear":
+        return cover
+    c_in, h_in, w_in = program.spec.in_shape
+    return cover.reshape(h_in, w_in, c_in).transpose(2, 0, 1)
+
+
 class TestCovers:
     def test_covers_count_the_windows_reading_each_position(self):
         """Each layer's cover equals a brute-force count of the conv
@@ -144,8 +153,8 @@ class TestCovers:
                 assert cover is None
                 continue
             assert cover.dtype == np.float32
-            np.testing.assert_array_equal(
-                cover.reshape(want.shape), want)
+            np.testing.assert_array_equal(channel_major(program, cover),
+                                          want)
 
     def test_unread_edges_weigh_nothing(self, rng):
         """On odd extents an unpadded conv's last column and a pool's
@@ -159,11 +168,10 @@ class TestCovers:
         conv_cover, pool_cover = engine._covers[:2]
         assert pool.spec.in_shape[1] == 5
         for program, cover in ((conv, conv_cover), (pool, pool_cover)):
-            want = brute_force_cover(program)
-            np.testing.assert_array_equal(
-                cover.reshape(want.shape), want)
-        assert not conv_cover.reshape(conv.spec.in_shape)[..., -1].any()
-        assert not pool_cover.reshape(pool.spec.in_shape)[:, -1].any()
+            np.testing.assert_array_equal(channel_major(program, cover),
+                                          brute_force_cover(program))
+        assert not channel_major(conv, conv_cover)[..., -1].any()
+        assert not channel_major(pool, pool_cover)[:, -1].any()
         images = sparse_images(rng, net, 4)
         want = engines["reference"].run_merged(images)
         got = engine.run_merged(images)

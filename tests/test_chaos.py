@@ -43,6 +43,7 @@ from repro.runtime import (
     create_workers,
     join_fabric,
 )
+from repro.runtime.codec import encode_frame, read_frame
 from repro.runtime.remote import _backoff_delay
 from repro.serve import InferenceServer, TcpClient, start_tcp_server
 from repro.serve.cache import ResultLedger
@@ -309,6 +310,35 @@ class TestGroupUnderChaos:
             assert len(group.alive_workers()) >= 1
         assert_bit_identical(baseline, results)
 
+    def test_worker_hangup_schedule_replays_by_connection_order(self):
+        """A worker server's chaos lanes are its connections' accept
+        order, not its ephemeral port, so one seed replays one hangup
+        schedule on every fresh server."""
+
+        def run():
+            chaos = ChaosPolicy(seed=4, server_hangup_prob=0.35,
+                                max_faults=3)
+            server = WorkerServer(chaos=chaos).start()
+            try:
+                for _ in range(4):
+                    with socket.create_connection(
+                            ("127.0.0.1", server.port)) as conn, \
+                            conn.makefile("rb") as reader:
+                        for _ in range(6):
+                            try:
+                                conn.sendall(encode_frame({"op": "ping"}))
+                                if read_frame(reader) is None:
+                                    break  # hung up after its reply
+                            except OSError:
+                                break
+            finally:
+                server.close()
+            return [(e.lane, e.draw) for e in chaos.events]
+
+        first = run()
+        assert first and first == run()
+        assert first[0][0] == "conn-0"
+
 
 class TestJoinBackoff:
     def test_backoff_grows_and_caps_with_jitter(self):
@@ -420,6 +450,31 @@ class TestServeUnderChaos:
                 tcp.close()
                 await tcp.wait_closed()
                 return [(e.lane, e.draw) for e in chaos.events]
+
+        first = asyncio.run(main())
+        assert first and first == asyncio.run(main())
+        assert first[0][0] == "conn-0"
+
+    def test_frame_fate_schedule_replays_by_connection_order(self, rng):
+        """A client's frame-fate lanes are its connections' order, not
+        the server's ephemeral port, so one seed replays one schedule of
+        dropped and duplicated frames against every fresh server."""
+        network = tiny_network(rng)
+        images = rng.random((6,) + network.input_shape)
+
+        async def main():
+            async with InferenceServer(network, max_batch=4) as server:
+                tcp, port = await start_tcp_server(server)
+                chaos = ChaosPolicy(seed=2, dup_frame_prob=0.3,
+                                    drop_frame_prob=0.3, max_faults=4)
+                client = TcpClient("127.0.0.1", port, retries=6,
+                                   retry_base_s=0.01, chaos=chaos)
+                async with client:
+                    for image in images:
+                        await client.infer(image)
+                tcp.close()
+                await tcp.wait_closed()
+                return [(e.lane, e.action, e.draw) for e in chaos.events]
 
         first = asyncio.run(main())
         assert first and first == asyncio.run(main())

@@ -85,6 +85,30 @@ LAYER_STACKS = {
              ("flatten",), ("linear", 16), ("linear", 12), ("linear", 5)],
 }
 
+#: Stacks over a 3-channel input, where channel-last layout bugs show:
+#: an unpadded stride-2 first conv unfolds the quantized input itself,
+#: and an unpadded conv after a pool (over an odd extent) unfolds a
+#: pooled multi-channel tensor.
+CHANNEL_STACKS = {
+    "rgb-strided": [("conv", 4, 3, 2, 0), ("conv", 5, 3, 1, 0),
+                    ("flatten",), ("linear", 6)],
+    "rgb-pool-conv": [("conv", 4, 3, 1, 1), ("pool", 2),
+                      ("conv", 6, 3, 1, 0), ("flatten",), ("linear", 5)],
+}
+
+
+def live_network(layers, input_shape, num_steps, seed, gain=8.0):
+    """``performance_network`` with every requantizing layer's scales
+    times ``gain``: at their default scales the random weights silence
+    every layer past the first, which would hide a wrong layout there."""
+    net = performance_network(layers, input_shape=input_shape,
+                              num_steps=num_steps, seed=seed)
+    return replace(net, layers=tuple(
+        replace(spec, scales=spec.scales * gain)
+        if spec.kind == "conv" or (spec.kind == "linear"
+                                   and not spec.is_output) else spec
+        for spec in net.layers))
+
 
 class TestRandomLayerEquivalence:
     @pytest.mark.parametrize("stack", sorted(LAYER_STACKS))
@@ -101,6 +125,24 @@ class TestRandomLayerEquivalence:
         np.testing.assert_array_equal(ref_logits, vec_logits)
         for ref_trace, vec_trace in zip(ref_traces, vec_traces):
             assert_traces_identical(ref_trace, vec_trace)
+
+    @pytest.mark.parametrize("stack", sorted(CHANNEL_STACKS))
+    @pytest.mark.parametrize("num_steps", [3, 5])
+    def test_multi_channel_stacks(self, stack, num_steps, rng):
+        net = live_network(CHANNEL_STACKS[stack], (3, 11, 11), num_steps,
+                           seed=int(rng.integers(1 << 16)))
+        config = AcceleratorConfig.for_network(
+            net, num_conv_units=int(rng.integers(1, 4)))
+        images = rng.random((3,) + net.input_shape)
+        (ref_logits, ref_traces), (vec_logits, vec_traces) = run_both(
+            net, config, images)
+        np.testing.assert_array_equal(ref_logits, vec_logits)
+        for ref_trace, vec_trace in zip(ref_traces, vec_traces):
+            assert_traces_identical(ref_trace, vec_trace)
+        # Every layer reads spikes, and the logits tell images apart.
+        assert all(layer.adder_ops > 0 for trace in vec_traces
+                   for layer in trace.layers if layer.kind != "flatten")
+        assert len(np.unique(vec_logits, axis=0)) > 1
 
     def test_multi_channel_input(self, rng):
         net = performance_network(

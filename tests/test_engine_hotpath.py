@@ -1,6 +1,8 @@
-"""The per-batch engine path: exact cached GEMM weights, O(1) lookups.
+"""The per-batch engine path: exact cached GEMM weights, channel-last
+activations, O(1) lookups.
 
-Two promises keep weight-sized work off every batch after the first:
+Three promises keep weight-sized and layout work off every batch after
+the first:
 
 * the batched engines multiply against a float weight matrix cached on
   the compiled layer program.  float32 stays bit-exact by splitting
@@ -9,6 +11,9 @@ Two promises keep weight-sized work off every batch after the first:
   every activation at ``2**T - 1``, every weight at the extremes, K
   spanning several chunks — must equal exact int64 arithmetic and the
   ``reference`` engine;
+* every conv and pool reads a C-contiguous channel-last
+  ``(N, H, W, C)`` tensor, the quantized input included, so no
+  activation is transposed or gathered out of order between layers;
 * a deployment finds its warm engine by its cached fingerprint, so a
   repeat item never re-hashes the network, while
   ``clear_engine_cache()`` still forces a fresh compile.
@@ -208,6 +213,33 @@ class TestExactGemm:
         assert not any(thread.is_alive() for thread in threads)
         assert len(builds) == 1 and len(seen) == 16
         assert all(matrix is seen[0] for matrix in seen)
+
+
+class TestChannelLast:
+    def test_conv_and_pool_inputs_are_contiguous_channel_last(self, rng):
+        """Every conv and pool reads a C-contiguous ``(N, H, W, C)``
+        tensor, the quantized input included."""
+        net = performance_network(
+            [("conv", 4, 3, 2, 0), ("pool", 2), ("conv", 5, 1, 1, 0),
+             ("flatten",), ("linear", 5)],
+            input_shape=(3, 11, 11), num_steps=4,
+            seed=int(rng.integers(1 << 16)))
+        engine = create_engine(
+            "vectorized",
+            compile_network(net, AcceleratorConfig.for_network(net)))
+        seen = []
+        for name in ("_run_conv", "_run_pool"):
+            def record(program, x, *args, _run=getattr(engine, name)):
+                seen.append((program.spec.in_shape, x))
+                return _run(program, x, *args)
+
+            setattr(engine, name, record)
+        engine.run_merged(rng.random((3,) + net.input_shape))
+        assert [shape for shape, _ in seen] == [
+            (3, 11, 11), (4, 5, 5), (4, 2, 2)]
+        for (c, h, w), x in seen:
+            assert x.shape == (3, h, w, c)
+            assert x.flags.c_contiguous
 
 
 def small_deployment(rng) -> Deployment:
