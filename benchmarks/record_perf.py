@@ -15,14 +15,21 @@ runs of the same workload and seed in the two directories form a pair:
 the record adds the parent's medians,
 the relative change of the medians and how many pairs moved in the
 metric's better direction (taken from ``BENCHMARK.json``).  The record
-also carries the checkout's git sha (and whether its tree had
-uncommitted changes) and the host's ``cpu_count``, so a number can be
-traced to the code and the machine that produced it.
+also carries the host's ``cpu_count`` and names the code it measured:
+
+* ``git_sha`` is the checkout's HEAD when the record is written.  A
+  record written before its change is committed therefore names the
+  change's parent commit, not the change;
+* ``tree_dirty`` says whether tracked files differ from HEAD;
+* ``diff_sha256`` is the sha256 of ``git diff HEAD --binary`` (null on a
+  clean tree): HEAD plus that diff is the measured code.  Untracked
+  files are not in the diff; ``git add`` them first.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -100,10 +107,10 @@ def workload_record(results: dict, parent: dict | None,
     return record
 
 
-def git(*args: str) -> str:
+def git(*args: str) -> bytes:
+    """The standard output of ``git args`` run in this checkout."""
     return subprocess.run(("git", "-C", str(ROOT)) + args,
-                          capture_output=True, text=True,
-                          check=True).stdout.strip()
+                          capture_output=True, check=True).stdout
 
 
 def main(argv: list) -> int:
@@ -118,10 +125,12 @@ def main(argv: list) -> int:
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     runs = load_runs(args.runs)
     parent = load_runs(args.parent) if args.parent else {}
+    diff = git("diff", "HEAD", "--binary")
     record = {
-        "git_sha": git("rev-parse", "HEAD"),
+        "git_sha": git("rev-parse", "HEAD").decode().strip(),
         "tree_dirty": bool(git("status", "--porcelain",
-                               "--untracked-files=no")),
+                               "--untracked-files=no").strip()),
+        "diff_sha256": hashlib.sha256(diff).hexdigest() if diff else None,
         "parent_sha": args.parent_sha,
         "cpu_count": os.cpu_count(),
         "workloads": {

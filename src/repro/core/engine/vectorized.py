@@ -16,12 +16,18 @@ as C-contiguous ``(N, H, W, C)`` tensors from the quantized input (made
 contiguous once) to the last pool; ``flatten`` reads them out in
 ``(C, H, W)`` order, so the linear weights keep their layout.  A conv
 widens and zero-pads its input in one pass into a fresh C-contiguous
-float buffer, where a kernel row's ``kc`` taps over all ``C_in``
-channels are one contiguous run of ``kc * C_in`` values; one strided
-view and one copy then give the ``(M, kr * kc * C_in)`` patch matrix.
-Its columns are tap-major, matching the compiled weight matrix
-(``weights.transpose(0, 2, 3, 1)``, ``(C_out, kr * kc * C_in)``), and
-its GEMM rows are already the channel-last output — no transpose back.
+float buffer and copies it into the ``(M, kr * kc * C_in)`` patch
+matrix in one of two orders.  Row-major: a kernel row's ``kc`` taps
+over all ``C_in`` channels are one contiguous run of ``kc * C_in``
+values, so one strided view and one copy give the matrix.  K-major: one
+slice copy per tap into a ``(kr, kc, C_in, N, H_out, W_out)`` buffer,
+whose transpose is the same matrix in F order.  Short runs make a copy
+slow, so a conv takes K-major exactly when its output row is longer
+than ``kc * C_in`` (a first conv over one or three channels), and
+row-major otherwise.  Either way the columns are tap-major, matching
+the compiled weight matrix (``weights.transpose(0, 2, 3, 1)``,
+``(C_out, kr * kc * C_in)``), and the GEMM rows are already the
+channel-last output — no transpose back.
 
 Why the floating-point GEMMs are exact: activations are integers in
 ``[0, 2**T - 1]`` and weights small signed integers, so every partial
@@ -73,11 +79,14 @@ Silent images: the accelerator sweeps every spike plane whether or not
 it spikes, so skipping work is purely a host-side speed trick, and the
 one that pays is skipping whole images.  Each layer already reduces its
 input to a per-image weighted spike count for the adder counters; an
-image whose count is zero contributes nothing to that layer's
-accumulator, so the layer's kernel runs on the live images only, and a
-silent image gets the layer's ``requantize(bias)`` row, computed once
-per engine (the ``sparse`` backend name is an alias of this engine).
-An all-live batch takes the plain dense call.
+image whose count is zero reads no spike there, so all it does from
+there on is data-independent: the layer outputs its silent row
+(``requantize(bias)``), and the rest of the network runs on that.  The
+image leaves the batch at its first silent layer and takes that layer's
+*tail* — the logits and later adder counters of that run, computed once
+per engine.  Later layers count spikes and run their kernels on the
+surviving rows only, and a batch with no live row left returns at once
+(the ``sparse`` backend name is an alias of this engine).
 """
 
 from __future__ import annotations
@@ -133,30 +142,42 @@ class VectorizedEngine(ExecutionEngine):
         x = radix.quantize_real(images, self.compiled.network.num_steps,
                                 self._activation_dtype)
         x = np.ascontiguousarray(x.transpose(0, 2, 3, 1))  # channel-last
-        programs = self.compiled.programs
-        adder_ops = np.zeros((x.shape[0], len(programs)), dtype=np.int64)
-        logits: np.ndarray | None = None
-        for column, (program, silent, cover) in enumerate(
-                zip(programs, self._silent_outputs, self._covers)):
-            if program.kind == "conv":
-                x, adder_ops[:, column] = self._run_conv(program, x, cover,
-                                                         silent)
-            elif program.kind == "pool":
-                x, adder_ops[:, column] = self._run_pool(program, x, cover,
-                                                         silent)
-            elif program.kind == "flatten":
-                # No adds: a buffer move, read out in the (C, H, W)
-                # order the first linear layer's weights expect.
-                x = x.transpose(0, 3, 1, 2).reshape(x.shape[0], -1)
-            else:  # linear
-                x, adder_ops[:, column] = self._run_linear(program, x,
-                                                           cover, silent)
-                if program.spec.is_output:
-                    logits = x
-        if logits is None:
-            raise SimulationError(
-                "compiled model has no output linear layer")
+        logits, adder_ops = self._run_layers(x, 0, self._tails)
         return logits, replace(self._batch_template, adder_ops=adder_ops)
+
+    def _run_layers(self, x: np.ndarray, start: int, tails: list | tuple
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Layers ``start`` onward on ``x``: ``(N, classes)`` logits and
+        the ``(N, L)`` adder counters (zero before ``start``).
+
+        Each layer first takes its per-image weighted spike count; an
+        image that reads no spike leaves the batch there, with its logits
+        and later counters from ``tails[layer]``, and the kernel runs on
+        the rows still live.
+        """
+        programs = self.compiled.programs
+        n = x.shape[0]
+        logits = np.empty((n, programs[-1].spec.out_features),
+                          dtype=np.int64)
+        adder_ops = np.zeros((n, len(programs)), dtype=np.int64)
+        rows = np.arange(n)
+        for column in range(start, len(programs)):
+            program, cover = programs[column], self._covers[column]
+            if cover is not None:  # flatten reads no spike
+                spikes = self._popcount_sum(x, cover)
+                live = spikes > 0
+                if not live.all():
+                    gone = rows[~live]
+                    tail_logits, tail_ops = tails[column]
+                    logits[gone] = tail_logits
+                    adder_ops[gone, column + 1:] = tail_ops[column + 1:]
+                    rows, x, spikes = rows[live], x[live], spikes[live]
+                    if not rows.size:
+                        return logits, adder_ops
+                adder_ops[rows, column] = spikes * _adds_per_spike(program)
+            x = getattr(self, f"_{program.kind}_out")(program, x)
+        logits[rows] = x
+        return logits, adder_ops
 
     @cached_property
     def _activation_dtype(self) -> np.dtype:
@@ -171,7 +192,8 @@ class VectorizedEngine(ExecutionEngine):
         A conv or linear layer then holds only its bias, so the row is
         ``requantize(bias)`` (the bias itself for the output layer); a
         pool window sums to zero.  None of it depends on the data, so it
-        is computed once per engine and broadcast into silent images.
+        is computed once per engine; :attr:`_tails` runs the rest of the
+        network on it.
         """
         rows = []
         for program in self.compiled.programs:
@@ -183,11 +205,37 @@ class VectorizedEngine(ExecutionEngine):
             elif program.kind == "linear" and spec.is_output:
                 rows.append(spec.bias.astype(np.int64))
             else:
-                # A conv row broadcasts over the channel-last output
-                # plane as it stands.
                 rows.append(self._requantize(
                     spec, np.zeros((1, len(spec.bias)), dtype=np.int64))[0])
         return tuple(rows)
+
+    @cached_property
+    def _tails(self) -> tuple:
+        """Per layer, ``(logits, adder_ops)`` of an image that reads no
+        spike there: the rest of the network run once on the layer's
+        silent output (None for flatten, where no image retires).
+
+        None of it depends on the data, so it is built once per engine,
+        from the last layer backwards: a tail run that retires at a
+        later layer finds that layer's tail already built.  The tails
+        under construction are a local list, so threads racing to build
+        them each build a whole, equal table.
+        """
+        programs = self.compiled.programs
+        if not getattr(programs[-1].spec, "is_output", False):
+            raise SimulationError("compiled model has no output linear layer")
+        tails: list = [None] * len(programs)
+        for column in reversed(range(len(programs))):
+            program, silent = programs[column], self._silent_outputs[column]
+            if silent is None:
+                continue
+            spec = program.spec
+            shape = ((spec.out_features,) if program.kind == "linear"
+                     else _channel_last(spec.out_shape))
+            logits, adder_ops = self._run_layers(
+                np.broadcast_to(silent, (1,) + shape), column + 1, tails)
+            tails[column] = logits[0], adder_ops[0]
+        return tuple(tails)
 
     @cached_property
     def _covers(self) -> tuple:
@@ -268,23 +316,19 @@ class VectorizedEngine(ExecutionEngine):
                   x: np.ndarray) -> np.ndarray:
         """Convolution activations, ``(N, H_out, W_out, C_out)``.
 
-        The patch view's last axis, a kernel row's ``kc * C_in`` values,
-        is one contiguous run only because ``padded`` is a fresh
-        C-contiguous buffer (see the module docstring).
+        A thin conv, whose output row is longer than a kernel row's
+        ``kc * C_in`` values, unfolds along the output row (see
+        :func:`_unfold` and the module docstring).
         """
         spec = program.spec
         n, h, w, c_in = x.shape
-        kr, kc = spec.kernel_size
-        pad, stride = spec.padding, spec.stride
+        pad = spec.padding
         c_out, h_out, w_out = spec.out_shape
         padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c_in),
                           dtype=program.gemm.dtype)
         padded[:, pad:pad + h, pad:pad + w] = x
-        sn, sh, sw, sc = padded.strides
-        patches = as_strided(
-            padded, shape=(n, h_out, w_out, kr, kc * c_in),
-            strides=(sn, sh * stride, sw * stride, sh, sc), writeable=False)
-        cols = patches.reshape(n * h_out * w_out, kr * kc * c_in)
+        cols = _unfold(padded, spec.kernel_size, spec.stride, h_out, w_out,
+                       k_major=w_out > spec.kernel_size[1] * c_in)
         return self._requantize(spec, program.gemm.products(cols)).reshape(
             n, h_out, w_out, c_out)
 
@@ -308,6 +352,12 @@ class VectorizedEngine(ExecutionEngine):
         sums >>= spec.shift
         return sums.astype(self._activation_dtype, copy=False)
 
+    @staticmethod
+    def _flatten_out(program: LayerProgram, x: np.ndarray) -> np.ndarray:
+        """No adds: a buffer move, read out in the ``(C, H, W)`` order
+        the first linear layer's weights expect."""
+        return x.transpose(0, 3, 1, 2).reshape(x.shape[0], -1)
+
     def _linear_out(self, program: LayerProgram,
                     x: np.ndarray) -> np.ndarray:
         """Hidden activations, or the output layer's int64 logits,
@@ -325,45 +375,49 @@ class VectorizedEngine(ExecutionEngine):
         pops = np.bitwise_count(x).reshape(x.shape[0], -1)
         return (pops.astype(cover.dtype) @ cover).astype(np.int64)
 
-    # ------------------------------------------------------------------
-    # Layer executors: per-image adder activity first, then the batched
-    # kernel on the images it shows are live; ``silent`` is the layer's
-    # output for the others
-    # ------------------------------------------------------------------
-    def _run_conv(self, program: LayerProgram, x: np.ndarray,
-                  cover: np.ndarray, silent: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        spec = program.spec
-        # Each shift cycle an input spike feeds drives the kr adder rows
-        # of every output channel's slot.
-        spikes = self._popcount_sum(x, cover)
-        out = _on_live(self._conv_out, program, x, spikes > 0,
-                       _channel_last(spec.out_shape), silent)
-        return out, spec.kernel_size[0] * spec.out_shape[0] * spikes
-
-    def _run_pool(self, program: LayerProgram, x: np.ndarray,
-                  cover: np.ndarray, silent: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        spikes = self._popcount_sum(x, cover)
-        return _on_live(self._pool_out, program, x, spikes > 0,
-                        _channel_last(program.spec.out_shape),
-                        silent), spikes
-
-    def _run_linear(self, program: LayerProgram, x: np.ndarray,
-                    cover: np.ndarray, silent: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        spec = program.spec
-        spikes = self._popcount_sum(x, cover)
-        out = _on_live(self._linear_out, program, x, spikes > 0,
-                       (spec.out_features,), silent)
-        # Each input spike gates one add in every parallel output's adder.
-        return out, spikes * spec.out_features
-
 
 def _channel_last(shape: tuple) -> tuple:
     """A ``(C, H, W)`` layer shape as the engine holds it, ``(H, W, C)``."""
     c, h, w = shape
     return h, w, c
+
+
+def _adds_per_spike(program: LayerProgram) -> int:
+    """Adds one weighted input spike drives: a conv shift cycle drives
+    the ``kr`` adder rows of every output channel's slot, a linear spike
+    gates one add in every parallel output's adder, a pool adds it once."""
+    spec = program.spec
+    if program.kind == "conv":
+        return spec.kernel_size[0] * spec.out_shape[0]
+    return spec.out_features if program.kind == "linear" else 1
+
+
+def _unfold(padded: np.ndarray, kernel_size: tuple, stride: int,
+            h_out: int, w_out: int, k_major: bool) -> np.ndarray:
+    """The ``(N * H_out * W_out, kr * kc * C_in)`` tap-major patch
+    matrix of a zero-padded, C-contiguous channel-last batch.
+
+    Row-major: one strided view whose last axis is a kernel row's
+    ``kc * C_in`` contiguous values, copied once.  ``k_major``: one
+    slice copy per tap ``(i, j)`` into a ``(kr, kc, C_in, N, H_out,
+    W_out)`` buffer, each moving whole output rows, returned transposed
+    — the same matrix in F order.
+    """
+    n, _, _, c_in = padded.shape
+    kr, kc = kernel_size
+    if k_major:
+        cols = np.empty((kr, kc, c_in, n, h_out, w_out), dtype=padded.dtype)
+        for i in range(kr):
+            for j in range(kc):
+                cols[i, j] = padded[:, i:i + stride * h_out:stride,
+                                    j:j + stride * w_out:stride
+                                    ].transpose(3, 0, 1, 2)
+        return cols.reshape(kr * kc * c_in, -1).T
+    sn, sh, sw, sc = padded.strides
+    patches = as_strided(
+        padded, shape=(n, h_out, w_out, kr, kc * c_in),
+        strides=(sn, sh * stride, sw * stride, sh, sc), writeable=False)
+    return patches.reshape(n * h_out * w_out, kr * kc * c_in)
 
 
 def _window_cover(length: int, padding: int, count: int, stride: int,
@@ -375,20 +429,3 @@ def _window_cover(length: int, padding: int, count: int, stride: int,
     for start in range(0, count * stride, stride):
         cover[start:start + size] += 1
     return cover[padding:padding + length]
-
-
-def _on_live(kernel, program: LayerProgram, x: np.ndarray,
-             live: np.ndarray, out_shape, silent: np.ndarray) -> np.ndarray:
-    """``kernel(program, x)`` computed for the images ``live`` marks only.
-
-    The other images get ``silent``, the layer's output for an input
-    with no spike it reads (broadcast over the image); an all-live batch
-    is one plain call.
-    """
-    if live.all():
-        return kernel(program, x)
-    out = np.empty((x.shape[0],) + tuple(out_shape), dtype=silent.dtype)
-    out[~live] = silent
-    if live.any():
-        out[live] = kernel(program, x[live])
-    return out

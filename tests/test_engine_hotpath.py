@@ -13,7 +13,8 @@ the first:
   ``reference`` engine;
 * every conv and pool reads a C-contiguous channel-last
   ``(N, H, W, C)`` tensor, the quantized input included, so no
-  activation is transposed or gathered out of order between layers;
+  activation is transposed or gathered out of order between layers,
+  and a conv's row-major and K-major unfolds give one patch matrix;
 * a deployment finds its warm engine by its cached fingerprint, so a
   repeat item never re-hashes the network, while
   ``clear_engine_cache()`` still forces a fresh compile.
@@ -24,13 +25,14 @@ import pickle
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core import AcceleratorConfig, compile_network, create_engine
 from repro.core.calibration import DEFAULT_LATENCY
-from repro.core.engine import cache
+from repro.core.engine import cache, vectorized
 from repro.core.engine.cache import (
     clear_engine_cache,
     content_key,
@@ -48,6 +50,8 @@ from repro.snn.spec import (
     QuantLinearSpec,
     requantize,
 )
+
+from test_engine_equivalence import CHANNEL_STACKS, LAYER_STACKS, live_network
 
 WEIGHT_BITS = 8
 
@@ -218,20 +222,25 @@ class TestExactGemm:
 class TestChannelLast:
     def test_conv_and_pool_inputs_are_contiguous_channel_last(self, rng):
         """Every conv and pool reads a C-contiguous ``(N, H, W, C)``
-        tensor, the quantized input included."""
-        net = performance_network(
+        tensor, the quantized input included.  Gained scales and a
+        nonnegative first conv keep every image live up to the last
+        conv, so each kernel reads the whole batch."""
+        net = live_network(
             [("conv", 4, 3, 2, 0), ("pool", 2), ("conv", 5, 1, 1, 0),
              ("flatten",), ("linear", 5)],
-            input_shape=(3, 11, 11), num_steps=4,
-            seed=int(rng.integers(1 << 16)))
+            (3, 11, 11), 4, seed=int(rng.integers(1 << 16)))
+        first = net.layers[0]
+        net = replace(net, layers=(
+            replace(first, weights=np.abs(first.weights)),) + net.layers[1:])
         engine = create_engine(
             "vectorized",
             compile_network(net, AcceleratorConfig.for_network(net)))
+        engine._tails  # built once per engine; their runs are not seen
         seen = []
-        for name in ("_run_conv", "_run_pool"):
-            def record(program, x, *args, _run=getattr(engine, name)):
+        for name in ("_conv_out", "_pool_out"):
+            def record(program, x, _run=getattr(engine, name)):
                 seen.append((program.spec.in_shape, x))
-                return _run(program, x, *args)
+                return _run(program, x)
 
             setattr(engine, name, record)
         engine.run_merged(rng.random((3,) + net.input_shape))
@@ -240,6 +249,63 @@ class TestChannelLast:
         for (c, h, w), x in seen:
             assert x.shape == (3, h, w, c)
             assert x.flags.c_contiguous
+
+
+class TestUnfold:
+    @pytest.mark.parametrize("c_in", [1, 3, 6, 64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("kernel_size", [(3, 3), (2, 3)])
+    def test_both_copy_orders_give_one_patch_matrix(
+            self, rng, c_in, stride, padding, kernel_size):
+        """Row-major and K-major unfolds of one padded channel-last
+        batch: the same ``(M, kr * kc * C_in)`` tap-major columns, equal
+        to stacking every tap's strided slice."""
+        n, h, w = 2, 7, 9
+        kr, kc = kernel_size
+        h_out = (h + 2 * padding - kr) // stride + 1
+        w_out = (w + 2 * padding - kc) // stride + 1
+        padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c_in),
+                          dtype=np.float32)
+        padded[:, padding:padding + h, padding:padding + w] = \
+            rng.integers(0, 16, size=(n, h, w, c_in))
+        taps = np.stack([padded[:, i:i + stride * h_out:stride,
+                                j:j + stride * w_out:stride]
+                         for i in range(kr) for j in range(kc)], axis=3)
+        want = taps.reshape(n * h_out * w_out, kr * kc * c_in)
+        for k_major in (False, True):
+            cols = vectorized._unfold(padded, kernel_size, stride, h_out,
+                                      w_out, k_major=k_major)
+            assert cols.shape == want.shape
+            np.testing.assert_array_equal(cols, want)
+
+    def test_equivalence_stacks_take_both_copy_orders(self, rng,
+                                                      monkeypatch):
+        """The equivalence suite's networks, built as it builds them,
+        unfold with both copy orders: K-major where an output row is
+        longer than a kernel row's ``kc * C_in`` values, row-major
+        elsewhere."""
+        orders = []
+        real = vectorized._unfold
+
+        def spy(padded, kernel_size, stride, h_out, w_out, k_major):
+            assert k_major == (w_out > kernel_size[1] * padded.shape[3])
+            orders.append(k_major)
+            return real(padded, kernel_size, stride, h_out, w_out,
+                        k_major=k_major)
+
+        monkeypatch.setattr(vectorized, "_unfold", spy)
+        nets = [performance_network(stack, input_shape=(1, 10, 10),
+                                    num_steps=3, seed=int(rng.integers(99)))
+                for stack in LAYER_STACKS.values()]
+        nets += [live_network(stack, (3, 11, 11), 3,
+                              seed=int(rng.integers(99)))
+                 for stack in CHANNEL_STACKS.values()]
+        for net in nets:
+            create_engine("vectorized", compile_network(
+                net, AcceleratorConfig.for_network(net))).run_batch(
+                    rng.random((3,) + net.input_shape))
+        assert set(orders) == {False, True}
 
 
 def small_deployment(rng) -> Deployment:

@@ -1,14 +1,15 @@
 """Silent-image skipping: the vectorized engine's one skip must be inert.
 
 The vectorized engine earns its speed on event-style inputs by *not*
-computing silent images: each layer runs its kernel only on the images
-whose spike count (the one it already takes for the adder counters) is
-nonzero, and gives the others the exact zero accumulator.  ``sparse``
-is an alias of that engine.  Each edge case here builds a batch that
-exercises one edge of the skip (all silent, partly silent, all live,
-one spike, values that quantize to silence, silence that a bias turns
-live again mid-stack) and asserts bit-identical logits and fully
-identical traces across ``reference``, ``vectorized`` and ``sparse``.
+computing silent images: an image whose spike count at a layer (the one
+it already takes for the adder counters) is zero leaves the batch there
+and takes that layer's tail, the rest of the network run once on the
+layer's bias-only output.  ``sparse`` is an alias of that engine.
+Each edge case here builds a batch that exercises one edge of the
+skip (all silent, partly silent, all live, one spike, values that
+quantize to silence, silence that a bias turns live again mid-stack)
+and asserts bit-identical logits and fully identical traces across
+``reference``, ``vectorized`` and ``sparse``.
 
 ``TestOneEngine`` pins the alias itself: both names select one class
 and share one warm engine, and a stream that mixes silent and live

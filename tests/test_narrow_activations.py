@@ -3,13 +3,14 @@
 The vectorized engine keeps every activation in the narrowest unsigned
 type holding ``[0, 2**T - 1]`` (``uint8`` up to T=8, ``uint16`` up to
 16, ``uint32`` beyond), requantizes the GEMM rows straight into that
-type, widens pool window sums to ``size**2 * (2**T - 1)`` and gives
-silent images each layer's cached ``requantize(bias)`` row.  Each case
-here drives one of those edges — the type changes, a saturated window
-that overflows the activation type, biases that requantize to 0 and to
-``2**T - 1`` next to silent frames — and asserts logits and every trace
-field equal to ``reference``.  ``requantize`` itself is held to the
-int64 formula on random accumulators up to ``2**52``.
+type, widens pool window sums to ``size**2 * (2**T - 1)`` and builds
+the tails of silent images on each layer's cached ``requantize(bias)``
+row.  Each case here drives one of those edges — the type changes, a
+saturated window that overflows the activation type, biases that
+requantize to 0 and to ``2**T - 1`` next to silent frames — and
+asserts logits and every trace field equal to ``reference``.
+``requantize`` itself is held to the int64 formula on random
+accumulators up to ``2**52``.
 """
 
 from dataclasses import replace
@@ -45,17 +46,16 @@ def _engine(net):
 
 
 def _activations(net, images):
-    """Every layer's vectorized output, in order (logits last)."""
+    """Every kernel's output, in layer order (logits last): the live
+    rows of each conv, pool and linear layer."""
     engine = _engine(net)
+    engine._tails  # built once per engine; their runs are not recorded
     outputs = []
-    original = {}
-    for name in ("_run_conv", "_run_pool", "_run_linear"):
-        original[name] = getattr(engine, name)
-
-        def record(program, x, t, silent, _run=original[name]):
-            out, adds = _run(program, x, t, silent)
+    for name in ("_conv_out", "_pool_out", "_linear_out"):
+        def record(program, x, _run=getattr(engine, name)):
+            out = _run(program, x)
             outputs.append(out)
-            return out, adds
+            return out
 
         setattr(engine, name, record)
     engine.run_merged(images)
@@ -93,14 +93,17 @@ class TestDtypeBoundaries:
         assert pooled.dtype == np.uint8
         # conv1 saturates every channel it drives positive; the pool of
         # four 255s is 255 again, not (4 * 255 mod 256) >> 2 = 63.
-        assert (outputs[0][0].max(axis=(1, 2)) == 255).any()
+        channel_max = outputs[0][0].max(axis=(0, 1))  # (H, W, C) image
+        assert (channel_max == 255).any()
+        assert (channel_max[channel_max > 0] == 255).all()
         assert pooled[0].max() == 255
         _assert_all_equal(net, images)
 
     def test_extreme_biases_beside_silent_frames(self, rng):
         """Conv and hidden linear biases that requantize to 0 and to
         2**T - 1 on their own, in a batch mixing silent and live frames:
-        the silent rows come from the cached requantize(bias) row."""
+        the silent frames' tails run on the cached requantize(bias)
+        rows."""
         net = _net(int(rng.integers(1 << 16)), stack=[
             ("conv", 4, 3, 1, 1), ("pool", 2), ("flatten",),
             ("linear", 6), ("linear", 5)], input_shape=(1, 8, 8),

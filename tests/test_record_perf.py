@@ -10,9 +10,12 @@ The contracts pinned here, on two synthetic runs directories of
 * "pairs better" counts each pair in the direction the metric's
   ``better`` in ``BENCHMARK.json`` names (lower CPU, higher throughput);
 * an empty output file stops the tool (``SystemExit``) rather than
-  recording a run that has no result.
+  recording a run that has no result;
+* the record names the measured code: HEAD's sha, and on a dirty tree
+  the sha256 of ``git diff HEAD --binary`` (null on a clean one).
 """
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -75,7 +78,7 @@ def runs(tmp_path):
 @pytest.fixture
 def record(record_perf, runs, tmp_path, monkeypatch):
     """The record ``main`` writes, outside any git checkout's state."""
-    monkeypatch.setattr(record_perf, "git", lambda *args: "")
+    monkeypatch.setattr(record_perf, "git", lambda *args: b"")
     out = tmp_path / "BENCH_test.json"
     change, parent = runs
     assert record_perf.main([str(out), str(change), "--parent",
@@ -134,3 +137,43 @@ class TestRecordPerf:
         (tmp_path / "runs" / "sweep-vgg.2.out").write_text("")
         with pytest.raises(SystemExit, match="empty perfbench output"):
             record_perf.load_runs(tmp_path / "runs")
+
+
+class TestGitIdentity:
+    SHA = "0123456789abcdef0123456789abcdef01234567"
+    DIFF = (b"diff --git a/src/x.py b/src/x.py\n"
+            b"--- a/src/x.py\n+++ b/src/x.py\n@@ -1 +1 @@\n-a\n+b\n")
+
+    def write(self, record_perf, runs, tmp_path, monkeypatch, dirty):
+        """The record ``main`` writes with ``git`` stubbed as a tree
+        that is ``dirty`` (one modified tracked file) or clean."""
+        outputs = {"rev-parse": self.SHA.encode() + b"\n",
+                   "status": b" M src/x.py\n" if dirty else b"",
+                   "diff": self.DIFF if dirty else b""}
+        calls = []
+
+        def fake_git(*args):
+            calls.append(args)
+            return outputs[args[0]]
+
+        monkeypatch.setattr(record_perf, "git", fake_git)
+        out = tmp_path / "BENCH_git.json"
+        assert record_perf.main([str(out), str(runs[0])]) == 0
+        assert ("diff", "HEAD", "--binary") in calls
+        return json.loads(out.read_text())
+
+    def test_dirty_tree_records_the_diff_hash(self, record_perf, runs,
+                                              tmp_path, monkeypatch):
+        record = self.write(record_perf, runs, tmp_path, monkeypatch,
+                            dirty=True)
+        assert record["git_sha"] == self.SHA
+        assert record["tree_dirty"] is True
+        assert record["diff_sha256"] == hashlib.sha256(self.DIFF).hexdigest()
+
+    def test_clean_tree_records_no_diff_hash(self, record_perf, runs,
+                                             tmp_path, monkeypatch):
+        record = self.write(record_perf, runs, tmp_path, monkeypatch,
+                            dirty=False)
+        assert record["git_sha"] == self.SHA
+        assert record["tree_dirty"] is False
+        assert record["diff_sha256"] is None
