@@ -4,17 +4,19 @@ The pipelining PR's three claims, measured and gated:
 
 * **Windowed remote lane** — with real wire latency between the driver
   and a ``WorkerServer`` (injected here by an in-bench TCP relay that
-  sleeps before forwarding each burst), a windowed lane (W=4) must
-  clear the same work list >= 1.3x faster than stop-and-wait (W=1):
-  chunk N+1 is encoded and on the wire while chunk N computes remotely,
-  so the per-chunk RTT stops serializing the lane.
+  sleeps before forwarding each burst), a lane windowed by the dispatch
+  credit (capped at the remote depth of 8) must clear the same work
+  list >= 1.3x faster than stop-and-wait: chunk N+1 is encoded and on
+  the wire while chunk N computes remotely, so the per-chunk RTT stops
+  serializing the lane.
 * **Pipelined process sweep** — the sweep fabric's dispatch engine
-  (the same ``WorkerGroup`` that ``repro sweep --window`` constructs),
-  draining event-frame shards on the sparse backend with one shard per
-  chunk and process lanes sized to leave the driver its own core (every
+  (the same ``WorkerGroup`` that ``repro sweep`` constructs), draining
+  event-frame shards on the sparse backend with one shard per chunk
+  and process lanes sized to leave the driver its own core (every
   other core runs a lane — the saturated PR 9 configuration), must
-  clear the work list >= 1.15x faster with W=2 double-buffered lanes
-  than under PR 9's stop-and-wait dispatch (W=1).  Warmed groups and
+  clear the work list >= 1.15x faster with credit-windowed,
+  double-buffered lanes (depth 2) than under PR 9's stop-and-wait
+  dispatch.  Warmed groups and
   best-of-N drains look through cgroup CPU throttling — forked-lane
   wall clocks are the noisiest numbers in the suite — and each gate
   re-measures up to 3 times before its verdict sticks (a real
@@ -23,6 +25,8 @@ The pipelining PR's three claims, measured and gated:
   its repeated requests >= 5x faster than the cold pass: cache hits
   replay the stored logits+trace at admission without touching a lane.
 
+Each stop-and-wait baseline is the same group with its lanes'
+``pipeline_depth`` set to 1, which caps the credit at one chunk.
 Bit-equality rides along with every measurement: windowed merges match
 a serial thread-lane baseline, and cache hits replay the cold results
 verbatim.  Results land in ``artifacts/bench_pipeline.json``.
@@ -53,6 +57,7 @@ from repro.harness import Table
 from repro.models import performance_network
 from repro.runtime import (
     Deployment,
+    ProcessWorker,
     RemoteWorker,
     ThreadWorker,
     WorkItem,
@@ -78,7 +83,6 @@ RESULTS_PATH = (Path(__file__).resolve().parent.parent
 WIRE_LATENCY_S = 0.010 if FAST_MODE else 0.020
 REMOTE_ITEMS = 8 if FAST_MODE else 12
 REMOTE_BATCH = 4
-REMOTE_WINDOW = 4
 REMOTE_GATE = 1.3
 
 #: Sweep workload: mostly-silent event frames on the sparse backend —
@@ -88,7 +92,7 @@ SWEEP_UNITS = 32 if FAST_MODE else 48
 SWEEP_SHARD = 4
 SWEEP_SILENT_FRAC = 0.75
 SWEEP_DENSITY = 0.03
-#: Best-of-N drains per window config: the un-throttled drain is the
+#: Best-of-N drains per dispatch config: the un-throttled drain is the
 #: one comparable across configs on a cgroup-throttled host.
 SWEEP_ROUNDS = 3 if FAST_MODE else 4
 #: Saturated: every core beyond the driver's runs a process lane (the
@@ -165,8 +169,17 @@ def _deployment(rng) -> Deployment:
                       config=AcceleratorConfig.for_network(network))
 
 
+def _one_in_flight(workers: list, stop_and_wait: bool) -> list:
+    """The lanes, capped at one chunk in flight when asked."""
+    if stop_and_wait:
+        for worker in workers:
+            worker.pipeline_depth = 1
+    return workers
+
+
 def run_remote_pipelining(rng) -> dict:
-    """Gate 1: windowed remote lane vs stop-and-wait under latency."""
+    """Gate 1: credit-windowed remote lane vs stop-and-wait under
+    latency."""
     deployment = _deployment(rng)
     shape = deployment.network.input_shape
     items = [WorkItem(i, 0, rng.random((REMOTE_BATCH,) + shape))
@@ -174,27 +187,33 @@ def run_remote_pipelining(rng) -> dict:
     warmup = [WorkItem(900 + i, 0, rng.random((REMOTE_BATCH,) + shape))
               for i in range(2)]
 
-    # Serial thread-lane ground truth every window size must reproduce.
+    # Serial thread-lane ground truth every dispatch config must
+    # reproduce.
     with WorkerGroup([ThreadWorker()], deployments=[deployment]) as group:
         baseline = group.run(items)
 
     walls, pipelined = {}, {}
-    with WorkerServer(window=REMOTE_WINDOW) as server:
+    with WorkerServer() as server:
         relay = LatencyRelay(server.port, WIRE_LATENCY_S)
         try:
-            for window in (1, REMOTE_WINDOW):
-                worker = RemoteWorker("127.0.0.1", relay.port,
-                                      name=f"wire-w{window}")
-                group = WorkerGroup([worker], deployments=[deployment],
-                                    window=window, max_batch_items=1,
-                                    heartbeat_s=30.0)
+            for stop_and_wait in (True, False):
+                worker = RemoteWorker(
+                    "127.0.0.1", relay.port,
+                    name="wire-w1" if stop_and_wait else "wire-credit")
+                group = WorkerGroup(
+                    _one_in_flight([worker], stop_and_wait),
+                    deployments=[deployment], max_batch_items=1,
+                    heartbeat_s=30.0)
                 with group:
-                    group.run(warmup)  # connect+deploy off the timed path
+                    # Connect, deploy and the first service-time
+                    # sample (the credit starts stop-and-wait) stay off
+                    # the timed path.
+                    group.run(warmup)
                     started = time.perf_counter()
                     futures = group.submit_many(items)
                     results = [future.result() for future in futures]
-                    walls[window] = time.perf_counter() - started
-                    pipelined[window] = group.metrics.pipelined
+                    walls[stop_and_wait] = time.perf_counter() - started
+                    pipelined[stop_and_wait] = group.metrics.pipelined
                 for base, result in zip(baseline, results):
                     np.testing.assert_array_equal(base.logits,
                                                   result.logits)
@@ -206,20 +225,20 @@ def run_remote_pipelining(rng) -> dict:
         "items": REMOTE_ITEMS,
         "item_batch": REMOTE_BATCH,
         "wire_latency_ms": WIRE_LATENCY_S * 1e3,
-        "window": REMOTE_WINDOW,
-        "wall_stop_and_wait_s": walls[1],
-        "wall_windowed_s": walls[REMOTE_WINDOW],
-        "speedup": walls[1] / walls[REMOTE_WINDOW],
-        "chunks_pipelined": pipelined[REMOTE_WINDOW],
+        "window_cap": RemoteWorker.pipeline_depth,
+        "wall_stop_and_wait_s": walls[True],
+        "wall_windowed_s": walls[False],
+        "speedup": walls[True] / walls[False],
+        "chunks_pipelined": pipelined[False],
         "bit_identical": True,
     }
 
 
 def run_sweep_pipelining(rng) -> dict:
-    """Gate 2: W=2 double-buffered process lanes vs PR 9 stop-and-wait.
+    """Gate 2: credit-windowed process lanes vs PR 9 stop-and-wait.
 
-    Drives the sweep fabric's dispatch engine the way ``repro sweep
-    --window`` constructs it: one event-frame shard per chunk on the
+    Drives the sweep fabric's dispatch engine the way ``repro sweep``
+    constructs it: one event-frame shard per chunk on the
     sparse backend, process lanes on every core beyond the driver's.
     Lanes are warmed (fork, deploy, first-touch arenas) before timing
     and each config keeps its best of ``SWEEP_ROUNDS`` drains.
@@ -242,7 +261,8 @@ def run_sweep_pipelining(rng) -> dict:
         # replay a repeated id instead of executing it.
         return [WorkItem(next(ids), 0, images) for images in shards]
 
-    # Serial thread-lane ground truth every window size must reproduce.
+    # Serial thread-lane ground truth every dispatch config must
+    # reproduce.
     with WorkerGroup([ThreadWorker()], deployments=[deployment]) as group:
         baseline = group.run(make_items())
 
@@ -253,13 +273,17 @@ def run_sweep_pipelining(rng) -> dict:
         return time.perf_counter() - started, results
 
     walls = {}
-    for window in (1, 2):
-        group = WorkerGroup(create_workers(["process"] * SWEEP_LANES),
-                            deployments=[deployment], window=window,
-                            max_batch_items=1, heartbeat_s=30.0)
+    for stop_and_wait in (True, False):
+        group = WorkerGroup(
+            _one_in_flight(create_workers(["process"] * SWEEP_LANES),
+                           stop_and_wait),
+            deployments=[deployment], max_batch_items=1,
+            heartbeat_s=30.0)
         with group:
-            drain(group)  # fork + deploy + arenas off the timed path
-            walls[window], results = min(
+            # Fork, deploy, arenas and the credit's first service-time
+            # samples stay off the timed path.
+            drain(group)
+            walls[stop_and_wait], results = min(
                 (drain(group) for _ in range(SWEEP_ROUNDS)),
                 key=lambda pair: pair[0])
         # Windowing is pure scheduling: the merge must not notice it.
@@ -273,11 +297,11 @@ def run_sweep_pipelining(rng) -> dict:
                      f"({SWEEP_SILENT_FRAC:.0%} silent, density "
                      f"{SWEEP_DENSITY})"),
         "lanes": SWEEP_LANES,
-        "window": 2,
+        "window_cap": ProcessWorker.pipeline_depth,
         "rounds": SWEEP_ROUNDS,
-        "wall_stop_and_wait_s": walls[1],
-        "wall_windowed_s": walls[2],
-        "speedup": walls[1] / walls[2],
+        "wall_stop_and_wait_s": walls[True],
+        "wall_windowed_s": walls[False],
+        "speedup": walls[True] / walls[False],
         "bit_identical": True,
     }
 
@@ -369,7 +393,8 @@ def _render(payload: dict) -> Table:
                   f"images, {remote['wire_latency_ms']:.0f} ms wire")
     table.add_row("remote stop-and-wait (s)",
                   f"{remote['wall_stop_and_wait_s']:.2f}")
-    table.add_row(f"remote windowed W={remote['window']} (s)",
+    table.add_row(f"remote credit-windowed, cap {remote['window_cap']} "
+                  "(s)",
                   f"{remote['wall_windowed_s']:.2f}")
     table.add_row("remote speedup", f"{remote['speedup']:.2f}x")
     if "sweep" in payload:
@@ -377,7 +402,8 @@ def _render(payload: dict) -> Table:
         table.add_row("sweep workload", sweep["workload"])
         table.add_row("sweep stop-and-wait (s)",
                       f"{sweep['wall_stop_and_wait_s']:.2f}")
-        table.add_row("sweep windowed W=2 (s)",
+        table.add_row(f"sweep credit-windowed, cap {sweep['window_cap']} "
+                      "(s)",
                       f"{sweep['wall_windowed_s']:.2f}")
         table.add_row("sweep speedup", f"{sweep['speedup']:.2f}x")
     table.add_row("cache cold pass (s)", f"{cache['wall_cold_s']:.3f}")

@@ -457,7 +457,6 @@ def _run_worker(args) -> None:
 
     from repro.runtime import WorkerServer, join_fabric
 
-    window = args.window if args.window is not None else 8
     if args.join is not None:
         host, port = args.join
         print(f"joining fabric at {host}:{port} "
@@ -472,7 +471,7 @@ def _run_worker(args) -> None:
         daemon = threading.Thread(
             target=lambda: stats_box.append(join_fabric(
                 host, port, token=args.token, retry_s=args.retry_s,
-                stop_event=stop, window=window)),
+                stop_event=stop)),
             name="repro-join", daemon=True)
         daemon.start()
         try:
@@ -491,8 +490,7 @@ def _run_worker(args) -> None:
         return
 
     host, port = args.listen
-    server = WorkerServer(host, port, token=args.token,
-                          window=window).start()
+    server = WorkerServer(host, port, token=args.token).start()
     print(f"engine worker listening on {server.host}:{server.port} "
           f"({'token-authenticated' if args.token else 'no token'}; "
           "trusted networks only); Ctrl-C to stop")
@@ -581,14 +579,6 @@ def main(argv: list[str] | None = None) -> int:
                              "per-image and per-batch costs plus the "
                              "fixed dispatch cost, growing them until "
                              "lanes saturate (overrides --shard-size)")
-    parser.add_argument("--window", type=_positive_int, default=None,
-                        metavar="W",
-                        help="sweep: in-flight dispatch chunks per "
-                             "pipelined lane (default: credit-based "
-                             "from the fixed dispatch cost vs. "
-                             "measured service time; 1 forces "
-                             "stop-and-wait); worker: cap advertised "
-                             "to dispatchers (default: 8)")
     parser.add_argument("--steps", default="3,4", metavar="T,T,...",
                         help="spike-train lengths for the sweep command "
                              "(default: 3,4; serve/loadgen deploy the "
@@ -724,7 +714,6 @@ def main(argv: list[str] | None = None) -> int:
         sweep_saturate=args.saturate,
         sweep_stream=sweep_stream,
         sweep_accept=args.accept,
-        sweep_window=args.window,
         fabric_token=args.token,
     )
     if args.accept is not None and args.experiment == "sweep":

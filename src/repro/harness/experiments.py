@@ -147,7 +147,6 @@ class ExperimentRunner:
         sweep_saturate: bool = False,
         sweep_stream=None,
         sweep_accept: tuple[str, int] | None = None,
-        sweep_window: int | None = None,
         fabric_token: str | None = None,
     ) -> None:
         self.settings = settings or ExperimentSettings.from_env()
@@ -159,7 +158,6 @@ class ExperimentRunner:
         self.sweep_saturate = sweep_saturate
         self.sweep_stream = sweep_stream
         self.sweep_accept = sweep_accept
-        self.sweep_window = sweep_window
         self.fabric_token = fabric_token
         self._mnist: tuple[Dataset, Dataset] | None = None
         self._cifar: tuple[Dataset, Dataset] | None = None
@@ -182,7 +180,6 @@ class ExperimentRunner:
                            store=self.store,
                            stream=self.sweep_stream,
                            accept=self.sweep_accept,
-                           window=self.sweep_window,
                            token=self.fabric_token)
 
     def _score_entries(

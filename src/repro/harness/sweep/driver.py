@@ -77,6 +77,10 @@ __all__ = ["SweepDriver", "SweepProgress", "SweepSummary"]
 #: compute time — the lane spends >= 95 % of its wall clock computing.
 _SATURATE_OVERHEAD_FRACTION = 0.05
 
+#: Images in each saturating cost probe's batch-of-K run (clamped to
+#: the task size).
+_PROBE_IMAGES = 16
+
 
 @dataclass(frozen=True)
 class SweepProgress:
@@ -133,6 +137,10 @@ class SweepSummary:
 class SweepDriver:
     """Runs sweep work lists over the runtime worker fabric.
 
+    Idle lanes always steal queued units, and how many chunks each lane
+    keeps in flight is the group's dispatch credit (see
+    :class:`~repro.runtime.WorkerGroup`); the driver sets neither.
+
     Parameters
     ----------
     workers:
@@ -156,12 +164,6 @@ class SweepDriver:
         where a fixed shard size leaves lanes dominated by dispatch.
         Results remain bit-identical — shard boundaries never affect
         the merge.
-    probe_images:
-        Images per saturating cost probe (clamped to the task size).
-    steal:
-        Let idle lanes steal queued units from busy peers (default).
-        Turning it off pins units to their initially assigned lane —
-        useful only as the static baseline stealing is measured against.
     store:
         Optional :class:`ArtifactStore`; merged outcomes are persisted
         under ``sweep_<task key>_<backend>`` and served from disk on
@@ -190,35 +192,21 @@ class SweepDriver:
         store: ArtifactStore | None = None,
         progress=None,
         saturate: bool = False,
-        probe_images: int = 4,
-        steal: bool = True,
         heartbeat_s: float = 2.0,
         stream=None,
         accept: tuple[str, int] | None = None,
         token: str | None = None,
-        window: int | None = None,
     ) -> None:
-        if probe_images < 1:
-            raise ConfigurationError(
-                f"probe_images must be >= 1, got {probe_images}")
         self.worker_specs = normalize_worker_specs(workers)
         self.workers = workers
         self.shard_size = shard_size
         self.saturate = saturate
-        self.probe_images = probe_images
-        self.steal = steal
         self.heartbeat_s = heartbeat_s
         self.store = store
         self.progress = progress
         self.stream = stream
         self.accept = accept
         self.token = token
-        if window is not None and window < 1:
-            raise ConfigurationError(
-                f"window must be >= 1, got {window}")
-        #: In-flight chunk window per pipelined lane (None = derived per
-        #: lane from the dispatch cost vs. measured service time).
-        self.window = window
         self.listener: GroupListener | None = None  # live during a run
         self.last_summary: SweepSummary | None = None
 
@@ -319,7 +307,7 @@ class SweepDriver:
         for task in tasks:
             engine = warm_engine(task.network, task.config, task.backend,
                                  task.calibration)
-            k = min(max(self.probe_images * 4, 16), task.num_images)
+            k = min(_PROBE_IMAGES, task.num_images)
             stride = max(task.num_images // k, 1)
             sample = task.images[::stride][:k]
             t1 = min(self._timed(engine, sample[:1])
@@ -390,8 +378,7 @@ class SweepDriver:
         if own_group:
             group = WorkerGroup(
                 create_workers(self.worker_specs, token=self.token),
-                deployments=deployments, steal=self.steal,
-                heartbeat_s=self.heartbeat_s, window=self.window)
+                deployments=deployments, heartbeat_s=self.heartbeat_s)
             indices = task_indices
         else:
             if not group.started:

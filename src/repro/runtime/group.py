@@ -16,8 +16,8 @@ over it.  Mechanics:
   dropped, budget blown) is evicted: its in-flight window and queued
   backlog are requeued on healthy lanes and ``metrics.worker_crashes``
   counts the event.  Only when *no* healthy lane remains do the orphaned
-  futures fail.  An item that has crashed ``max_attempts`` lanes is
-  treated as poison and failed instead of requeued.  A requeued item
+  futures fail.  An item that has crashed :data:`_MAX_ATTEMPTS` lanes
+  is treated as poison and failed instead of requeued.  A requeued item
   keeps its one future, so it resolves exactly once: a copy whose
   future a peer already resolved is dropped before dispatch.  The group
   keeps no result store; keyed dedup of client retries is the serving
@@ -104,8 +104,11 @@ def _fabric_window_occupancy(lane: str, depth: int) -> None:
 #: sweep's shard sizing; it only moves scheduling, never an output.
 DEFAULT_DISPATCH_COST_S = 2e-3
 
-#: Hard ceiling on any lane's in-flight window, credit-derived or not.
-_MAX_WINDOW = 8
+#: Heartbeat and probation ping budget per lane.
+_PING_TIMEOUT_S = 5.0
+
+#: Lanes an item may crash before it is failed as poison.
+_MAX_ATTEMPTS = 3
 
 
 @dataclass
@@ -163,6 +166,18 @@ class _Pending:
 class WorkerGroup:
     """Schedules :class:`WorkItem` batches across worker lanes.
 
+    Each lane keeps a credit of dispatch chunks in flight, derived from
+    :data:`DEFAULT_DISPATCH_COST_S` vs. that lane's measured service
+    time — enough chunks to hide dispatch/wire overhead behind compute,
+    no more — and capped by the executor's ``pipeline_depth`` (thread
+    1, process 2, remote 8).  That credit is the only in-flight bound.
+    Sent-but-uncollected chunks form the lane's window; unsent items
+    stay on its queue, so peers steal them.  An eviction requeues the
+    *entire* window, and an item whose future a peer already resolved
+    is dropped at the next dispatch instead of executing again.
+    Evicted lanes stay on probation and are re-admitted once a probe
+    (restart + redeploy + ping) succeeds.
+
     Parameters
     ----------
     workers:
@@ -181,12 +196,6 @@ class WorkerGroup:
         requeues still move work; correctness beats pinning).
     heartbeat_s:
         Liveness-probe period for idle lanes.
-    max_attempts:
-        Crash-requeue budget per item before it is failed as poison.
-    readmit:
-        Keep evicted lanes on probation and re-admit one whose probe
-        (restart + redeploy + ping) succeeds (default).  ``False``
-        restores permanent eviction.
     probation_s:
         Delay before the first re-admission probe of an evicted lane
         (default: ``2 * heartbeat_s``); failed probes retry each period.
@@ -196,18 +205,6 @@ class WorkerGroup:
         round-trip per chunk).  ``1`` restores strict item-at-a-time
         dispatch.  Stolen items always execute alone — batching never
         changes which lane runs what, so results stay bit-identical.
-    window:
-        In-flight chunk window per lane.  ``None`` (default) derives a
-        credit per lane from :data:`DEFAULT_DISPATCH_COST_S` vs. that
-        lane's measured service time — enough chunks in flight to hide
-        dispatch/wire overhead behind compute, no more.  An explicit
-        integer overrides the credit (``1`` = stop-and-wait).  Either
-        way the window clamps at the executor's ``pipeline_depth``
-        (inline thread lanes never pipeline) and at 8.  Windowed-but-
-        unsent items stay on the lane's queue, so peers steal them
-        exactly as before; an eviction requeues the *entire* in-flight
-        window, and an item whose future a peer already resolved is
-        dropped at the next dispatch instead of executing again.
     chaos:
         Optional :class:`~repro.runtime.chaos.ChaosPolicy` consulted at
         the group's injection sites (dispatch kills, heartbeat
@@ -223,12 +220,8 @@ class WorkerGroup:
         deployments: list[Deployment] | tuple | DeploymentRegistry = (),
         steal: bool = True,
         heartbeat_s: float = 2.0,
-        ping_timeout_s: float = 5.0,
-        max_attempts: int = 3,
-        readmit: bool = True,
         probation_s: float | None = None,
         max_batch_items: int = 8,
-        window: int | None = None,
         chaos: ChaosPolicy | None = None,
     ) -> None:
         if not workers:
@@ -246,19 +239,12 @@ class WorkerGroup:
             self._table = list(deployments)
         self.steal = steal
         self.heartbeat_s = heartbeat_s
-        self.ping_timeout_s = ping_timeout_s
-        self.max_attempts = max_attempts
-        self.readmit = readmit
         self.probation_s = (2 * heartbeat_s if probation_s is None
                             else probation_s)
         if max_batch_items < 1:
             raise ConfigurationError(
                 f"max_batch_items must be >= 1, got {max_batch_items}")
         self.max_batch_items = max_batch_items
-        if window is not None and window < 1:
-            raise ConfigurationError(
-                f"window must be >= 1, got {window}")
-        self.window = window
         # Per-lane EWMA of chunk service time (lane-side compute
         # seconds), feeding the credit derivation.  Keyed by lane index;
         # guarded by the group lock.
@@ -694,25 +680,20 @@ class WorkerGroup:
     def _lane_window_locked(self, index: int, worker: Worker) -> int:
         """The lane's in-flight chunk credit; lock must be held.
 
-        Explicit ``window`` wins; otherwise the credit covers
-        :data:`DEFAULT_DISPATCH_COST_S` with chunks of measured service
-        time — ``1 + ceil(dispatch / service)`` — so a lane whose compute
-        dwarfs its dispatch overhead stays effectively stop-and-wait
-        while a wire-bound lane keeps enough chunks in flight to never
-        idle.  Always clamped to the executor's ``pipeline_depth`` and
-        the group-wide ceiling; a lane with no chunk served yet starts
+        The credit covers :data:`DEFAULT_DISPATCH_COST_S` with chunks of
+        measured service time — ``1 + ceil(dispatch / service)`` — so a
+        lane whose compute dwarfs its dispatch overhead stays
+        effectively stop-and-wait while a wire-bound lane keeps enough
+        chunks in flight to never idle.  Clamped to the executor's
+        ``pipeline_depth``; a lane with no chunk served yet starts
         stop-and-wait.
         """
-        depth = max(1, int(getattr(worker, "pipeline_depth", 1)))
-        cap = min(depth, _MAX_WINDOW)
-        if self.window is not None:
-            return max(1, min(self.window, cap))
         service = self._service_ewma.get(index)
         if not service:
             return 1
         credit = 1 + math.ceil(DEFAULT_DISPATCH_COST_S
                                / max(service, 1e-9))
-        return max(1, min(credit, cap))
+        return max(1, min(credit, worker.pipeline_depth))
 
     def _dispatch(self, index: int) -> None:
         """Drive one lane: keep up to W chunks in flight.
@@ -878,12 +859,12 @@ class WorkerGroup:
                      if i not in self._dead]
             failures = []
             for pending in orphans:
-                if pending.attempts >= self.max_attempts:
+                if pending.attempts >= _MAX_ATTEMPTS:
                     self.metrics.poisoned += 1
                     failures.append((pending, WorkerCrashError(
                         f"item {pending.item.item_id} crashed "
                         f"{pending.attempts} lane(s) — retry budget "
-                        f"(max_attempts={self.max_attempts}) exhausted; "
+                        f"(max_attempts={_MAX_ATTEMPTS}) exhausted; "
                         f"last: worker {worker.name!r} died ({error})")))
                 elif self._stopping:
                     failures.append((pending, WorkerCrashError(
@@ -921,7 +902,7 @@ class WorkerGroup:
                             or self._busy[index] is not None):
                         continue
                 try:
-                    alive = worker.ping(timeout_s=self.ping_timeout_s)
+                    alive = worker.ping(timeout_s=_PING_TIMEOUT_S)
                 except WorkerCrashError:
                     alive = False
                 if (alive and self.chaos is not None
@@ -937,8 +918,7 @@ class WorkerGroup:
                 else:
                     self._evict(index, WorkerCrashError(
                         "heartbeat probe failed"))
-            if self.readmit:
-                self._probe_probation()
+            self._probe_probation()
 
     def _probe_probation(self) -> None:
         """Try to re-admit evicted lanes whose probation delay elapsed.
@@ -965,7 +945,7 @@ class WorkerGroup:
                 worker.start()
                 probed_table = self.deployments
                 worker.deploy(probed_table)
-                if not worker.ping(timeout_s=self.ping_timeout_s):
+                if not worker.ping(timeout_s=_PING_TIMEOUT_S):
                     raise WorkerCrashError("probation ping failed")
             except (ReproError, OSError):
                 worker.close()

@@ -16,8 +16,6 @@ Every message, from a connection's first byte, is one RBF1 frame of
 :mod:`repro.runtime.codec`: a JSON header plus raw ndarray buffers
 (written ``+ arrays`` below).  Requests are answered in order::
 
-    {"op": "hello"}                        -> {"ok": true, "pid": ...,
-                                               "window": W}
     {"op": "ping"}                         -> {"ok": true, "pid": ...}
     {"op": "deploy"} + blob (uint8 pickle) -> {"ok": true, "deployments": N}
     {"op": "execute_many",
@@ -26,16 +24,17 @@ Every message, from a connection's first byte, is one RBF1 frame of
                                               + logits:0, charges:0,
                                                 adder_ops:0, ...
 
-``hello`` advertises the server's in-flight window (how many pipelined
-chunks a driver may keep on the wire toward it).  A joining worker
-sends the same facts in its ``join`` handshake instead.
-``execute_many`` is the one execute op: it ships one whole dispatch
-chunk per frame (a single item is a chunk of one) to amortize framing
-and round-trips.  Each ``results`` entry is ``{"ok": true, "item_id",
-"layers", "input_cycles", "elapsed_s", "pid", "spans"}`` or a per-item
-error payload.  Entry ``i``'s batch trace rides the body as int64
-arrays: ``charges:i`` (one row of data-independent charges per layer)
-and ``adder_ops:i`` (one row per image, one column per layer).
+A connection's first request is ``deploy``; there is no negotiation
+round trip.  How many chunks a driver keeps on the wire toward a host is
+the driver's own dispatch credit, capped at
+:attr:`RemoteWorker.pipeline_depth`.  ``execute_many`` is the one
+execute op: it ships one whole dispatch chunk per frame (a single item
+is a chunk of one) to amortize framing and round-trips.  Each
+``results`` entry is ``{"ok": true, "item_id", "layers", "input_cycles",
+"elapsed_s", "pid", "spans"}`` or a per-item error payload.  Entry
+``i``'s batch trace rides the body as int64 arrays: ``charges:i`` (one
+row of data-independent charges per layer) and ``adder_ops:i`` (one row
+per image, one column per layer).
 
 Task-level failures answer ``{"ok": false, "error": {"type", "message"}}``
 and keep the connection; a known type (``DeploymentError``,
@@ -119,22 +118,13 @@ def _configure_socket(sock: socket.socket) -> None:
 # ----------------------------------------------------------------------
 def _handle_request(deployments: list[Deployment], message: dict,
                     arrays: dict[str, np.ndarray],
-                    token: str | None = None,
-                    window: int = 8) -> tuple[dict, dict]:
-    """One decoded request frame -> ``(reply payload, reply arrays)``.
-
-    ``window`` is the in-flight chunk cap the hello reply advertises —
-    how many pipelined chunks a driver may keep on the wire toward this
-    host (``repro worker --window``; 1 forces stop-and-wait).
-    """
+                    token: str | None = None) -> tuple[dict, dict]:
+    """One decoded request frame -> ``(reply payload, reply arrays)``."""
     if not check_token(message, token):
         # Reject *before* touching the pickle a deploy carries.
         raise FabricAuthError(
             "payload rejected: missing or invalid fabric token")
     op = message.get("op")
-    if op == "hello":
-        return {"ok": True, "pid": os.getpid(),
-                "window": max(1, int(window))}, {}
     if op == "ping":
         return {"ok": True, "pid": os.getpid(),
                 "deployments": len(deployments)}, {}
@@ -181,8 +171,7 @@ def _handle_request(deployments: list[Deployment], message: dict,
 
 def _serve_requests(conn: socket.socket, reader,
                     token: str | None = None,
-                    chaos=None, lane: str = "conn",
-                    window: int = 8) -> None:
+                    chaos=None, lane: str = "conn") -> None:
     """Answer request frames on one connection until the peer goes away.
 
     Every well-framed request must answer: an unpicklable blob, a
@@ -212,7 +201,7 @@ def _serve_requests(conn: socket.socket, reader,
         message, arrays = decoded
         try:
             reply, out_arrays = _handle_request(
-                deployments, message, arrays, token, window=window)
+                deployments, message, arrays, token)
         except Exception as error:  # noqa: BLE001 — see docstring
             reply = {"ok": False, "error": error_payload(error)}
             out_arrays = {}
@@ -238,17 +227,10 @@ class WorkerServer:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  token: str | None = None,
-                 chaos=None,
-                 window: int = 8) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
+                 chaos=None) -> None:
         self.host = host
         self.port = port
         self.token = token
-        #: In-flight chunk cap advertised in the hello reply: how many
-        #: pipelined chunks a driver may keep on the wire toward this
-        #: host (``repro worker --window``; 1 forces stop-and-wait).
-        self.window = window
         #: Optional ChaosPolicy: injected server_conn hangups per reply.
         self.chaos = chaos
         self._sock: socket.socket | None = None
@@ -308,8 +290,7 @@ class WorkerServer:
         try:
             with conn, conn.makefile("rb") as reader:
                 _serve_requests(conn, reader, token=self.token,
-                                chaos=self.chaos, lane=lane,
-                                window=self.window)
+                                chaos=self.chaos, lane=lane)
         except (ConnectionError, OSError):
             pass  # peer vanished; nothing to answer
         finally:
@@ -387,12 +368,11 @@ def join_fabric(
     stop_event: threading.Event | None = None,
     connect_timeout_s: float = 5.0,
     max_retry_s: float = 30.0,
-    window: int = 8,
 ) -> JoinStats:
     """Connect out to a live group's :class:`GroupListener` and serve.
 
     The reverse of ``--listen``: the *worker* dials the driver, proves
-    the shared ``token`` in a ``join`` hello (and verifies the group's
+    the shared ``token`` in a ``join`` handshake (and verifies the group's
     counter-proof), and then answers deploy/execute requests over the
     same socket until the group goes away.  With ``retry_s`` the worker
     keeps re-dialing — before the listener exists and again after the
@@ -434,9 +414,7 @@ def join_fabric(
             _configure_socket(sock)
             sock.settimeout(connect_timeout_s)
             sock.sendall(encode_frame(attach_token(
-                {"op": "join", "name": worker_name,
-                 "window": max(1, int(window))},
-                token)))
+                {"op": "join", "name": worker_name}, token)))
             reader = sock.makefile("rb")
             reply = (read_frame(reader) or ({}, {}))[0]
             if not reply.get("ok") or not check_token(reply, token):
@@ -446,7 +424,7 @@ def join_fabric(
             sock.settimeout(None)
             stats.connects += 1
             streak = 0       # a real session: back to the base delay
-            _serve_requests(sock, reader, window=window)
+            _serve_requests(sock, reader)
             # Clean EOF: the group hung up (run finished or driver
             # stopped) — counted the same as a mid-serve drop.
             stats.disconnects += 1
@@ -540,9 +518,9 @@ class GroupListener:
         conn.settimeout(self.handshake_timeout_s)
         reader = conn.makefile("rb")
         try:
-            hello = (read_frame(reader) or ({}, {}))[0]
-            refusal = (None if hello.get("op") == "join"
-                       and check_token(hello, self.token)
+            request = (read_frame(reader) or ({}, {}))[0]
+            refusal = (None if request.get("op") == "join"
+                       and check_token(request, self.token)
                        else FabricAuthError(
                            "join rejected: missing or invalid fabric "
                            "token"))
@@ -556,21 +534,12 @@ class GroupListener:
                 reader.close()
                 conn.close()
             return
-        name = str(hello.get("name") or f"joined@{peer[0]}:{peer[1]}")
+        name = str(request.get("name") or f"joined@{peer[0]}:{peer[1]}")
         conn.sendall(encode_frame(attach_token(
             {"ok": True, "name": name}, self.token)))
         conn.settimeout(None)
         _configure_socket(conn)
         worker = RemoteWorker.from_socket(conn, reader, name=name)
-        # The joiner's hello caps the in-flight window toward it; a
-        # joiner that advertises nothing keeps the client-side cap.
-        advertised = hello.get("window")
-        if advertised is not None:
-            try:
-                worker.pipeline_depth = max(
-                    1, min(_MAX_REMOTE_WINDOW, int(advertised)))
-            except (TypeError, ValueError):
-                pass
         try:
             lane_name = self.group.add_lane(worker)
         except Exception:
@@ -598,12 +567,6 @@ class GroupListener:
 # ----------------------------------------------------------------------
 # Client side — the lane a WorkerGroup schedules onto
 # ----------------------------------------------------------------------
-#: Most chunks a remote lane keeps on the wire at once.  The server
-#: answers strictly in order per connection, so this is purely a
-#: client-side credit cap; the hello negotiation can lower it per lane.
-_MAX_REMOTE_WINDOW = 8
-
-
 @dataclass
 class _RemoteFlight:
     """One chunk on the wire awaiting its (in-order) reply."""
@@ -620,11 +583,14 @@ class RemoteWorker(Worker):
     connection, so the lane pipelines: :meth:`send_chunk` puts a chunk
     on the wire without waiting and :meth:`collect_chunk` reads the
     oldest outstanding reply — chunk N+1 is encoded and in flight while
-    the server computes chunk N.  ``pipeline_depth`` starts at the
-    client cap and is lowered to whatever the server's hello advertises.
+    the server computes chunk N.  The server answers strictly in order
+    per connection, so :attr:`pipeline_depth` is purely a client-side
+    cap on the group's dispatch credit; a connect makes no round trip
+    before ``deploy``.
     """
 
     kind = "remote"
+    pipeline_depth = 8
 
     def __init__(self, host: str, port: int, name: str | None = None,
                  connect_timeout_s: float = 5.0,
@@ -634,12 +600,11 @@ class RemoteWorker(Worker):
         self.port = port
         self.connect_timeout_s = connect_timeout_s
         self.token = token
-        self.pipeline_depth = _MAX_REMOTE_WINDOW
         self._sock: socket.socket | None = None
         self._reader = None
         # Serializes the request/response exchange: the group's monitor
         # may ping while the dispatcher thread owns the socket.  The
-        # condition lets a whole-exchange request (deploy, hello) wait
+        # condition lets a whole-exchange request (deploy, ping) wait
         # for the in-flight window to drain — injecting one between a
         # pipelined send and its collect would desequence the
         # strictly-ordered replies.
@@ -684,30 +649,6 @@ class RemoteWorker(Worker):
             raise WorkerCrashError(
                 f"cannot reach worker {self.host}:{self.port}: "
                 f"{error}") from error
-        # A fresh connection restarts the window from the cap (the
-        # previous server's advertisement died with the old socket).
-        self.pipeline_depth = _MAX_REMOTE_WINDOW
-        self._hello()
-
-    def _hello(self) -> None:
-        """Adopt the in-flight window the server's hello advertises.
-
-        A token mismatch answers ``FabricAuthError`` here; the lane
-        stays connected and the failure resurfaces on ``deploy``, where
-        the group already knows how to degrade it.  Only a dead
-        connection propagates.
-        """
-        with self._io_lock:
-            try:
-                reply, _ = self._request_locked(
-                    {"op": "hello"}, timeout_s=self.connect_timeout_s)
-            except FabricAuthError:
-                return
-            # The server caps how many chunks may be in flight toward it
-            # (``repro worker --window``).
-            self.pipeline_depth = max(1, min(
-                self.pipeline_depth,
-                int(reply.get("window", self.pipeline_depth))))
 
     def _request(self, payload: dict,
                  timeout_s: float | None = None,

@@ -53,7 +53,48 @@ def batch_digest(images: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-class ResultCache:
+class _BoundedLRU:
+    """An ``OrderedDict`` LRU of at most ``capacity`` entries behind one
+    lock; :meth:`to_dict` also exports the subclass's ``_COUNTERS``."""
+
+    _COUNTERS: tuple[str, ...] = ()
+
+    def __init__(self, capacity: int, minimum: int, label: str) -> None:
+        if capacity < minimum:
+            raise ValueError(f"{label} capacity must be >= {minimum}, "
+                             f"got {capacity}")
+        self.capacity = capacity
+        self.__dict__.update(dict.fromkeys(self._COUNTERS, 0))
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def _lookup(self, key):
+        """The entry under ``key``, made most recent; lock held."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        return entry
+
+    def _store(self, key, entry) -> int:
+        """Store as most recent; returns how many fell out; lock held."""
+        self._entries[key] = entry
+        self._entries.move_to_end(key)
+        evicted = max(0, len(self._entries) - self.capacity)
+        for _ in range(evicted):
+            self._entries.popitem(last=False)
+        return evicted
+
+    def to_dict(self) -> dict:
+        with self._lock:
+            return {"entries": len(self._entries),
+                    "capacity": self.capacity,
+                    **{name: getattr(self, name) for name in self._COUNTERS}}
+
+
+class ResultCache(_BoundedLRU):
     """Bounded LRU of served results keyed by content.
 
     ``capacity`` is the entry count (0 disables the cache entirely —
@@ -64,24 +105,14 @@ class ResultCache:
     event loop may touch it concurrently.
     """
 
+    _COUNTERS = ("hits", "misses", "evictions")
+
     def __init__(self, capacity: int = 128) -> None:
-        if capacity < 0:
-            raise ValueError(
-                f"result cache capacity must be >= 0, got {capacity}")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: OrderedDict[tuple[str, str], object] = \
-            OrderedDict()
-        self._lock = threading.Lock()
+        super().__init__(capacity, 0, "result cache")
 
     @property
     def enabled(self) -> bool:
         return self.capacity > 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def _counter(self, event: str):
         return get_registry().counter(
@@ -93,43 +124,25 @@ class ResultCache:
         if not self.enabled:
             return None
         with self._lock:
-            entry = self._entries.get((fingerprint, digest))
-            if entry is not None:
-                self._entries.move_to_end((fingerprint, digest))
-                self.hits += 1
-            else:
-                self.misses += 1
-        if entry is not None:
-            self._counter("hits").inc()
-        else:
-            self._counter("misses").inc()
+            entry = self._lookup((fingerprint, digest))
+            hit = entry is not None
+            self.hits += hit
+            self.misses += not hit
+        self._counter("hits" if hit else "misses").inc()
         return entry
 
     def put(self, fingerprint: str, digest: str, entry) -> None:
         """Store a served result; evicts LRU beyond capacity."""
         if not self.enabled:
             return
-        evicted = 0
         with self._lock:
-            self._entries[(fingerprint, digest)] = entry
-            self._entries.move_to_end((fingerprint, digest))
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                evicted += 1
+            evicted = self._store((fingerprint, digest), entry)
+            self.evictions += evicted
         if evicted:
             self._counter("evictions").inc(evicted)
 
-    def to_dict(self) -> dict:
-        with self._lock:
-            return {"entries": len(self._entries),
-                    "capacity": self.capacity,
-                    "hits": self.hits,
-                    "misses": self.misses,
-                    "evictions": self.evictions}
 
-
-class ResultLedger:
+class ResultLedger(_BoundedLRU):
     """Bounded completed-result map keyed by client idempotency key.
 
     The server's exactly-once store: a completed request's result is
@@ -146,14 +159,10 @@ class ResultLedger:
     client retry horizon, not the full run.
     """
 
+    _COUNTERS = ("duplicates",)      # lookups answered from the ledger
+
     def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError(f"ledger capacity must be >= 1, "
-                             f"got {capacity}")
-        self.capacity = capacity
-        self.duplicates = 0              # lookups answered from the ledger
-        self._entries: OrderedDict[str, object] = OrderedDict()
-        self._lock = threading.Lock()
+        super().__init__(capacity, 1, "ledger")
 
     def record(self, key: str, result) -> bool:
         """Store a completed result; False if the key was already there
@@ -164,9 +173,7 @@ class ResultLedger:
             if key in self._entries:
                 self.duplicates += 1
                 return False
-            self._entries[key] = result
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            self._store(key, result)
             return True
 
     def get(self, key: str):
@@ -175,14 +182,6 @@ class ResultLedger:
         if not key:
             return None
         with self._lock:
-            result = self._entries.get(key)
-            if result is not None:
-                self._entries.move_to_end(key)
-                self.duplicates += 1
+            result = self._lookup(key)
+            self.duplicates += result is not None
             return result
-
-    def to_dict(self) -> dict:
-        with self._lock:
-            return {"entries": len(self._entries),
-                    "capacity": self.capacity,
-                    "duplicates": self.duplicates}

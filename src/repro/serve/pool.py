@@ -81,7 +81,6 @@ class EnginePool:
         registry: DeploymentRegistry | None = None,
         token: str | None = None,
         chaos=None,
-        window: int | None = None,
     ) -> None:
         if size < 1:
             raise ConfigurationError(f"pool size must be >= 1, got {size}")
@@ -111,9 +110,6 @@ class EnginePool:
         self.token = token
         #: Optional ChaosPolicy handed to the WorkerGroup (fault drills).
         self.chaos = chaos
-        #: In-flight chunk window per pipelined lane (None = the group
-        #: derives it from the fixed dispatch cost vs. service time).
-        self.window = window
         self.worker_specs = (list(workers) if workers
                              else [mode] * size)
         self.size = len(self.worker_specs)
@@ -150,8 +146,7 @@ class EnginePool:
             warm_compile(deployment.network, deployment.config)
         self._group = WorkerGroup(
             create_workers(self.worker_specs, token=self.token),
-            deployments=self.registry, chaos=self.chaos,
-            window=self.window)
+            deployments=self.registry, chaos=self.chaos)
         try:
             self._group.start()
         except BaseException:

@@ -38,6 +38,38 @@ def rng(request) -> np.random.Generator:
     return np.random.default_rng(seed_for(request.node.nodeid))
 
 
+@pytest.fixture
+def open_credit(monkeypatch):
+    """``open_credit(group, lanes=(0,))`` opens each listed lane's
+    dispatch credit to its executor's ``pipeline_depth``.
+
+    The credit is ``1 + ceil(dispatch cost / service time)`` and starts
+    stop-and-wait until a lane has served a chunk, so this makes the
+    dispatch cost one no service time covers and runs one warm item on
+    each lane (re-run if an idle peer stole it).  A lane then keeps a
+    full window in flight from its next chunk on.
+    """
+    from repro.runtime import WorkItem
+    from repro.runtime import group as group_module
+
+    monkeypatch.setattr(group_module, "DEFAULT_DISPATCH_COST_S", 10.0)
+
+    def open_lanes(group, lanes=(0,)) -> None:
+        deployment = group.deployments[0]
+        images = np.zeros((1,) + deployment.network.input_shape)
+        for lane in lanes:
+            name = group.workers[lane].name
+            for attempt in range(20):
+                warm = WorkItem(item_id=-1 - attempt, deployment=0,
+                                images=images)
+                if group.run([warm], assignment=[lane])[0].worker == name:
+                    break
+            else:
+                raise AssertionError(f"lane {name!r} never served")
+
+    return open_lanes
+
+
 def _open_fds() -> dict[int, str]:
     """This process's open file descriptors and what each points at,
     less the resource tracker's pipe (a process-wide singleton, like the

@@ -187,8 +187,9 @@ class TestGroupUnderChaos:
 
         server = WorkerServer().start()
         try:
-            # Draw 1 is the hello inside group.start(), so the sever
-            # lands before any item is queued: no steal race to lose.
+            # Draw 1 is the deployment push inside group.start(), so
+            # the sever lands before any item is queued: no steal race
+            # to lose.
             chaos = ChaosPolicy(sever={"cut": 1})
             workers = [RemoteWorker("127.0.0.1", server.port,
                                     name="cut"),
@@ -220,7 +221,8 @@ class TestGroupUnderChaos:
             results = group.run(items)
         assert_bit_identical(baseline, results)
 
-    def test_windowed_process_kill_requeues_whole_window(self, rng):
+    def test_windowed_process_kill_requeues_whole_window(self, rng,
+                                                         open_credit):
         """SIGKILL with W=2 chunks in flight: every windowed item —
         sent and unsent — requeues exactly-once and the merged answers
         stay bit-identical to a serial run."""
@@ -228,16 +230,17 @@ class TestGroupUnderChaos:
         items = make_items(rng, deployment, count=8, images_each=2)
         baseline = serial_baseline(deployment, items)
 
-        # Third dispatch draw kills: chunks 1 and 2 are pipelined
-        # (window full) before the fault lands, so eviction must hand
-        # a MULTI-chunk window to the requeue machinery.
-        chaos = ChaosPolicy(kill={"doomed": 3})
+        # Dispatch draw 1 is the warm chunk that opens the credit to the
+        # process depth of 2, so draw 4 kills: chunks 1 and 2 are
+        # pipelined (window full) before the fault lands, and eviction
+        # must hand a MULTI-chunk window to the requeue machinery.
+        chaos = ChaosPolicy(kill={"doomed": 4})
         workers = [ProcessWorker(name="doomed"),
                    ThreadWorker(name="healthy")]
         with WorkerGroup(workers, deployments=[deployment],
                          chaos=chaos, heartbeat_s=30.0,
-                         window=2, max_batch_items=2,
-                         steal=False) as group:
+                         max_batch_items=2, steal=False) as group:
+            open_credit(group)
             results = group.run(items, assignment=[0] * len(items))
             assert group.metrics.worker_crashes >= 1
             assert group.alive_workers() == ["healthy"]
@@ -249,7 +252,8 @@ class TestGroupUnderChaos:
         assert_bit_identical(baseline, results)
         assert any(e.action == "kill" for e in chaos.events)
 
-    def test_windowed_remote_sever_requeues_whole_window(self, rng):
+    def test_windowed_remote_sever_requeues_whole_window(self, rng,
+                                                         open_credit):
         """Severing the socket with W=3 in flight loses every
         outstanding chunk at once; all of them finish elsewhere with
         bit-identical merges and zero duplicate answers."""
@@ -259,17 +263,19 @@ class TestGroupUnderChaos:
 
         server = WorkerServer().start()
         try:
-            # The hello and the deployment push consume exchange draws
-            # 1 and 2, so draw 5 is the THIRD chunk send — two chunks
-            # already in flight when the wire goes away.
+            # The deployment push and the warm chunk that opens the
+            # credit consume exchange draws 1 and 2, so draw 5 is the
+            # THIRD chunk send — two chunks already in flight when the
+            # wire goes away.
             chaos = ChaosPolicy(sever={"cut": 5})
             workers = [RemoteWorker("127.0.0.1", server.port,
                                     name="cut"),
                        ThreadWorker(name="local")]
+            workers[0].pipeline_depth = 3
             with WorkerGroup(workers, deployments=[deployment],
                              chaos=chaos, heartbeat_s=30.0,
-                             window=3, max_batch_items=2,
-                             steal=False) as group:
+                             max_batch_items=2, steal=False) as group:
+                open_credit(group)
                 results = group.run(items,
                                     assignment=[0] * len(items))
                 assert group.metrics.worker_crashes >= 1
@@ -280,7 +286,8 @@ class TestGroupUnderChaos:
         finally:
             server.close()
 
-    def test_windowed_unsent_items_remain_stealable(self, rng):
+    def test_windowed_unsent_items_remain_stealable(self, rng,
+                                                    open_credit):
         """Items queued behind a full window were never claimed by the
         windowed lane — an idle peer steals them like any backlog."""
         deployment = tiny_deployment(rng)
@@ -290,8 +297,8 @@ class TestGroupUnderChaos:
         workers = [ProcessWorker(name="piped"),
                    ThreadWorker(name="idle")]
         with WorkerGroup(workers, deployments=[deployment],
-                         heartbeat_s=30.0, window=2,
-                         max_batch_items=2) as group:
+                         heartbeat_s=30.0, max_batch_items=2) as group:
+            open_credit(group)
             results = group.run(items, assignment=[0] * len(items))
             assert group.metrics.stolen >= 1
         assert_bit_identical(baseline, results)

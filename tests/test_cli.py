@@ -41,6 +41,13 @@ class TestCliDispatch:
         assert exit_info.value.code == 2
         assert "invalid choice: 'calibrate'" in capsys.readouterr().err
 
+    def test_window_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["sweep", "--window", "2"])
+        assert exit_info.value.code == 2
+        assert ("unrecognized arguments: --window 2"
+                in capsys.readouterr().err)
+
     def test_requires_argument(self):
         with pytest.raises(SystemExit):
             cli.main([])

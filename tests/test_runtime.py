@@ -521,7 +521,7 @@ class TestChunkTimeouts:
 class TestWindowedDispatch:
     """Pipelined lanes: send/collect split, credits, telemetry."""
 
-    def test_windowed_process_lane_bit_identical(self, rng):
+    def test_windowed_process_lane_bit_identical(self, rng, open_credit):
         deployment = tiny_deployment(rng)
         items = make_items(rng, deployment, count=10, images_each=2)
         serial, _ = run_group([ThreadWorker()], deployment,
@@ -529,17 +529,19 @@ class TestWindowedDispatch:
                                         images=i.images)
                                for i in items])
         with WorkerGroup([ProcessWorker(name="piped")],
-                         deployments=[deployment], window=2,
+                         deployments=[deployment],
                          max_batch_items=2) as group:
+            open_credit(group)               # depth 2: W=2
             results = group.run(items)
             metrics = group.metrics
         assert metrics.pipelined >= 2
-        assert sum(metrics.executed.values()) == len(items)
+        # One warm item opened the credit before the run.
+        assert sum(metrics.executed.values()) == len(items) + 1
         for base, other in zip(serial, results):
             np.testing.assert_array_equal(base.logits, other.logits)
             assert base.merged_trace() == other.merged_trace()
 
-    def test_windowed_remote_lane_bit_identical(self, rng):
+    def test_windowed_remote_lane_bit_identical(self, rng, open_credit):
         deployment = tiny_deployment(rng)
         items = make_items(rng, deployment, count=10, images_each=2)
         serial, _ = run_group([ThreadWorker()], deployment,
@@ -547,10 +549,11 @@ class TestWindowedDispatch:
                                         images=i.images)
                                for i in items])
         with WorkerServer() as server:
-            with WorkerGroup([RemoteWorker("127.0.0.1", server.port,
-                                           name="wire")],
-                             deployments=[deployment], window=4,
+            lane = RemoteWorker("127.0.0.1", server.port, name="wire")
+            lane.pipeline_depth = 4
+            with WorkerGroup([lane], deployments=[deployment],
                              max_batch_items=2) as group:
+                open_credit(group)
                 results = group.run(items)
                 metrics = group.metrics
         assert metrics.pipelined >= 2
@@ -559,11 +562,10 @@ class TestWindowedDispatch:
             assert base.merged_trace() == other.merged_trace()
 
     def test_credit_covers_the_fixed_dispatch_cost(self, monkeypatch):
-        """With no explicit window a lane's credit is ``1 + ceil(
-        DEFAULT_DISPATCH_COST_S / service)``, clamped to the lane's
-        pipeline depth and the group ceiling.  A lane with no service
-        measured yet, or a zero dispatch cost, is stop-and-wait, and an
-        explicit window outranks the credit."""
+        """A lane's credit is ``1 + ceil(DEFAULT_DISPATCH_COST_S /
+        service)``, clamped to the lane's pipeline depth.  A lane with
+        no service measured yet, or a zero dispatch cost, is
+        stop-and-wait."""
         group = WorkerGroup([ThreadWorker()])
         lane = types.SimpleNamespace(pipeline_depth=8)
 
@@ -576,48 +578,91 @@ class TestWindowedDispatch:
         assert credit(None) == 1
         assert credit(1e-3) == 3      # 1 + 2 chunks hide the dispatch
         assert credit(4e-3) == 2
-        assert credit(1e-6) == 8      # the depth and ceiling clamp
+        assert credit(1e-6) == 8      # the remote depth clamps
         lane.pipeline_depth = 3
         assert credit(1e-6) == 3
         monkeypatch.setattr(group_module, "DEFAULT_DISPATCH_COST_S", 0.0)
         assert credit(1e-3) == 1
-        group.window = 2
-        assert credit(1e-6) == 2
 
-    def test_window_negotiation_and_validation(self, rng):
-        from repro.runtime.remote import _MAX_REMOTE_WINDOW
-        with pytest.raises(Exception):
-            WorkerServer(window=0)
-        with pytest.raises(ConfigurationError):
-            WorkerGroup([ThreadWorker()], deployments=[], window=0)
-        with WorkerServer(window=2) as server:
-            worker = RemoteWorker("127.0.0.1", server.port)
-            worker.start()
+    def test_remote_depth_is_fixed_and_hello_is_unknown(self):
+        """A remote lane's depth is the class constant 8 and a connect
+        sends nothing before ``deploy``; a ``hello`` request is an
+        unknown op answered with a structured error, and the connection
+        stays open."""
+        with socket.create_server(("127.0.0.1", 0)) as silent:
+            worker = RemoteWorker("127.0.0.1",
+                                  silent.getsockname()[1])
+            worker.start()       # returns with the peer never answering
+            conn, _ = silent.accept()
             try:
-                # The server's advertisement caps the client's window.
-                assert worker.pipeline_depth == 2
-                assert worker.pipeline_depth <= _MAX_REMOTE_WINDOW
+                assert worker.pipeline_depth == 8
+                conn.settimeout(0.2)
+                with pytest.raises(socket.timeout):
+                    conn.recv(1)
             finally:
+                conn.close()
                 worker.close()
+        with WorkerServer() as server, socket.create_connection(
+                ("127.0.0.1", server.port)) as conn, \
+                conn.makefile("rb") as reader:
+            conn.sendall(encode_frame({"op": "hello"}))
+            reply, _ = read_frame(reader)
+            assert reply["ok"] is False
+            assert reply["error"]["type"] == "ValueError"
+            assert "unknown op 'hello'" in reply["error"]["message"]
+            conn.sendall(encode_frame({"op": "ping"}))
+            assert read_frame(reader)[0]["ok"] is True
 
-    def test_thread_lanes_stay_stop_and_wait(self, rng):
+    @pytest.mark.parametrize("kind", ["process", "remote"])
+    def test_depth_one_lane_is_stop_and_wait(self, rng, open_credit,
+                                             kind):
+        """A lane whose ``pipeline_depth`` is 1 never pipelines, however
+        wide its credit, and answers bit-identically to serial."""
+        deployment = tiny_deployment(rng)
+        items = make_items(rng, deployment, count=8, images_each=2)
+        serial, _ = run_group([ThreadWorker()], deployment,
+                              [WorkItem(item_id=i.item_id, deployment=0,
+                                        images=i.images)
+                               for i in items])
+        with WorkerServer() as server:
+            lane = (ProcessWorker(name="lane") if kind == "process"
+                    else RemoteWorker("127.0.0.1", server.port,
+                                      name="lane"))
+            lane.pipeline_depth = 1
+            with WorkerGroup([lane], deployments=[deployment],
+                             max_batch_items=2) as group:
+                open_credit(group)
+                results = group.run(items)
+                metrics = group.metrics
+        assert metrics.pipelined == 0
+        assert sum(metrics.executed.values()) == len(items) + 1
+        for base, other in zip(serial, results):
+            np.testing.assert_array_equal(base.logits, other.logits)
+            assert base.merged_trace() == other.merged_trace()
+
+    def test_thread_lanes_stay_stop_and_wait(self, rng, open_credit):
         deployment = tiny_deployment(rng)
         items = make_items(rng, deployment, count=6)
-        results, metrics = run_group([ThreadWorker()], deployment,
-                                     items, window=4)
+        with WorkerGroup([ThreadWorker()],
+                         deployments=[deployment]) as group:
+            open_credit(group)
+            group.run(items)
+            metrics = group.metrics
         assert metrics.pipelined == 0
-        assert sum(metrics.executed.values()) == len(items)
+        assert sum(metrics.executed.values()) == len(items) + 1
 
     @pytest.mark.parametrize("kind", [ThreadWorker, ProcessWorker],
                              ids=["thread", "process"])
-    def test_inflight_telemetry_feeds_registry(self, rng, kind):
+    def test_inflight_telemetry_feeds_registry(self, rng, kind,
+                                               open_credit):
         from repro.telemetry import get_registry
         get_registry().reset()
         deployment = tiny_deployment(rng)
         items = make_items(rng, deployment, count=8, images_each=2)
         with WorkerGroup([kind(name="gauged")],
-                         deployments=[deployment], window=2,
+                         deployments=[deployment],
                          max_batch_items=2) as group:
+            open_credit(group)
             group.run(items)
         telemetry = get_registry().to_dict()
         gauge = telemetry["repro_fabric_inflight_chunks"]

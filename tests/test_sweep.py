@@ -157,10 +157,6 @@ class TestAdaptiveSharding:
         assert driver.last_summary.task_shard_sizes is None
         assert driver.last_summary.num_units == 2
 
-    def test_probe_images_validated(self):
-        with pytest.raises(ConfigurationError):
-            SweepDriver(saturate=True, probe_images=0)
-
 
 class TestHardwareAccuracy:
     def test_evaluate_matches_snn_accuracy(self, rng):
