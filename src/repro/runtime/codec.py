@@ -169,10 +169,12 @@ def encode_frame(payload: dict,
         flat = array.reshape(-1)
         # Sparsity by bit pattern, not value: -0.0 is "zero" to
         # count_nonzero but must still ship to round-trip bit-exactly.
-        bits = flat.view(f"u{flat.itemsize}")
-        nnz = int(np.count_nonzero(bits)) if array.size else 0
+        # One bool mask serves both the count and the index search,
+        # which runs several times faster on it than on wide integers.
+        nonzero = flat.view(f"u{flat.itemsize}") != 0
+        nnz = int(np.count_nonzero(nonzero))
         if _sparse_wins(array, nnz, coo_ratio):
-            indices = np.flatnonzero(bits).astype(np.uint32)
+            indices = np.flatnonzero(nonzero).astype(np.uint32)
             values = np.ascontiguousarray(flat[indices])
             descriptor["enc"] = "coo"
             descriptor["count"] = int(indices.size)

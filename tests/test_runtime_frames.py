@@ -24,17 +24,24 @@ The contracts pinned here:
   side: a missing array, a non-int64 trace array or a shape that does
   not line up with the item's logits and layer list is a broken lane
   (``WorkerCrashError``), never a silently wrong trace — hand-listed
-  cases beside a hypothesis fuzz of the reply shape.
+  cases beside a hypothesis fuzz of the reply shape;
+* both ends of every fabric connection, listen and join path, carry
+  ``TCP_NODELAY`` and keepalive, so a pipelined reply never waits for
+  the driver's delayed ACK;
+* the encoder's frames are pinned byte for byte by sha256 digests.
 """
 
 import functools
+import hashlib
 import io
 import json
 import pickle
 import queue
 import socket
+import statistics
 import struct
 import threading
+import time
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -43,6 +50,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AcceleratorConfig
+from repro.core.engine.calibrate import probe_batch
 from repro.core.engine.trace import CHARGE_COLUMNS
 from repro.errors import (
     CodecError,
@@ -70,6 +78,7 @@ from repro.runtime import (
     read_frame,
     shm_available,
 )
+from repro.runtime import remote as remote_module
 from repro.runtime.codec import (
     FRAME_MAGIC,
     FRAME_PREFIX_LEN,
@@ -762,6 +771,207 @@ class TestOneFraming:
             reply, _ = read_frame(reader)
             assert reply["error"]["type"] == "RuntimeError"
             assert _UNPICKLED == [True]
+
+
+def assert_fabric_socket_options(sock: socket.socket) -> None:
+    """Nagle off and keepalive on, as every fabric socket carries."""
+    assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    assert sock.getsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE)
+
+
+class TestSocketOptions:
+    """Both ends of every fabric connection, listen and join path."""
+
+    def test_listen_path_both_ends(self, rng):
+        with WorkerServer() as server:
+            worker = RemoteWorker("127.0.0.1", server.port)
+            worker.start()
+            try:
+                worker.deploy([tiny_deployment(rng)])
+                assert_fabric_socket_options(worker._sock)
+                with server._conn_lock:
+                    connections = list(server._connections)
+                assert len(connections) == 1
+                for conn in connections:
+                    assert_fabric_socket_options(conn)
+            finally:
+                worker.close()
+
+    def test_join_path_both_ends(self, monkeypatch):
+        """The admitted lane's socket is read directly; the joiner's
+        socket closes when its session ends, so a spy on
+        ``_configure_socket`` reads it while it is live."""
+        configured = []
+        original = remote_module._configure_socket
+
+        def spy(sock):
+            original(sock)
+            configured.append(
+                (threading.current_thread().name,
+                 sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY),
+                 sock.getsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE)))
+
+        monkeypatch.setattr(remote_module, "_configure_socket", spy)
+        collector = _LaneCollector()
+        with GroupListener(collector, "127.0.0.1", 0) as listener:
+            joiner = threading.Thread(
+                target=join_fabric, args=("127.0.0.1", listener.port),
+                kwargs={"name": "opts"}, name="joiner", daemon=True)
+            joiner.start()
+            worker = collector.lanes.get(timeout=30)
+            try:
+                assert worker.ping()
+                assert_fabric_socket_options(worker._sock)
+            finally:
+                worker.close()
+        joiner.join(timeout=10)
+        assert not joiner.is_alive()
+        joined = [options for options in configured
+                  if options[0] == "joiner"]
+        assert len(joined) == 1
+        _, nodelay, keepalive = joined[0]
+        assert nodelay and keepalive
+
+
+#: LeNet-5 at the paper's geometry: a chunk of event frames costs a
+#: few milliseconds, well inside the driver's delayed-ACK timer.
+LENET5_LAYERS = [("conv", 6, 5, 1, 0), ("pool", 2), ("conv", 16, 5, 1, 0),
+                 ("pool", 2), ("conv", 120, 5, 1, 0), ("flatten",),
+                 ("linear", 120), ("linear", 84), ("linear", 10)]
+
+
+class TestPipelinedReplyLatency:
+    """A reply written while the previous one is unacknowledged leaves
+    at once: under Nagle it waited for the driver's delayed ACK (about
+    40 ms on Linux) whenever the chunk cost less than that."""
+
+    def test_second_reply_follows_the_first_promptly(self, rng,
+                                                     open_credit):
+        net = performance_network(LENET5_LAYERS, (1, 32, 32),
+                                  num_steps=4)
+        deployment = Deployment(
+            network=net, config=AcceleratorConfig.for_network(net),
+            backend="sparse")
+        collected = []
+
+        class TimedLane(RemoteWorker):
+            def collect_chunk(self):
+                results = super().collect_chunk()
+                collected.append(time.perf_counter())
+                return results
+
+        gaps = []
+        with WorkerServer() as server:
+            lane = TimedLane("127.0.0.1", server.port, name="timed")
+            with WorkerGroup([lane], deployments=[deployment],
+                             max_batch_items=3) as group:
+                open_credit(group)
+                for _ in range(9):
+                    items = [WorkItem(item_id=index, deployment=0,
+                                      images=probe_batch(
+                                          (1, 32, 32), 0.03, 64, rng))
+                             for index in range(6)]
+                    collected.clear()
+                    pipelined = group.metrics.pipelined
+                    group.run(items)
+                    # Two 3-item chunks, the second sent before the
+                    # first reply came back.
+                    assert len(collected) == 2
+                    assert group.metrics.pipelined > pipelined
+                    gaps.append(collected[1] - collected[0])
+        assert statistics.median(gaps) < 0.020, gaps
+
+
+def golden_cases() -> dict[str, np.ndarray]:
+    """Arrays whose encoded frames are pinned by digest: the COO path's
+    bit-pattern sparsity (signed zeros, NaN payloads, subnormals), every
+    width of its index search and both sides of the COO/raw cut."""
+    rng = np.random.default_rng(2022)
+    plane = np.where(rng.random((8, 1, 28, 28)) < 0.05,
+                     rng.random((8, 1, 28, 28)), 0.0)
+
+    def signed_zeros_and_nans(dtype, nan_bits):
+        width = np.dtype(dtype).itemsize
+        bits = np.zeros(300, dtype=f"u{width}")
+        bits[[3, 77]] = 1 << (8 * width - 1)           # -0.0
+        bits[[10, 250]] = nan_bits                     # NaN payloads
+        return bits.view(dtype)
+
+    subnormals = np.zeros(300, dtype=np.uint16)
+    subnormals[[0, 1, 299]] = [0x0001, 0x8001, 0x03ff]
+    small = np.zeros(512, dtype=np.int8)
+    small[[5, 6, 400]] = [-128, 1, 127]
+    flags = np.zeros(512, dtype=bool)
+    flags[[0, 511]] = True
+
+    def threshold(nnz):
+        array = np.zeros(256)
+        array[:nnz] = np.arange(1, nnz + 1)
+        return array
+
+    return {
+        "event_plane_f64": plane,
+        "signed_zero_nan_f32": signed_zeros_and_nans("float32",
+                                                     0x7fc00123),
+        "signed_zero_nan_f64": signed_zeros_and_nans("float64",
+                                                     0x7ff8000000000abc),
+        "subnormal_f16": subnormals.view(np.float16),
+        "sparse_i8": small,
+        "sparse_bool": flags,
+        "empty_f64": np.zeros((0, 3)),
+        "scalar_0d": np.array(-0.0),
+        # 153 float64 entries are 1836 COO bytes, under 0.9 x 2048.
+        "coo_at_threshold": threshold(153),
+        "raw_past_threshold": threshold(154),
+    }
+
+
+#: sha256 of ``encode_frame({"case": name}, {"a": array})``, computed
+#: with the encoder that searched nonzeros on the integer view itself.
+GOLDEN_FRAME_SHA256 = {
+    "event_plane_f64":
+        "d2f41aa5d88ec0a798475e26788e933baa4147de3b52f9df3bce8b41583580eb",
+    "signed_zero_nan_f32":
+        "e7bf1c9b1ffaffd051a50039d19e132601a57632cf9b1ace2f2f5af5c8ece221",
+    "signed_zero_nan_f64":
+        "610e9c408b00cb9ab0afc72b11ac0386c99bf952a81ed698f88cbc5f956e13dd",
+    "subnormal_f16":
+        "9fbb18c5b8b3054cbd23d105410701976b259c8545a127eafcbaccecbb17874a",
+    "sparse_i8":
+        "c85d8c92f035f565a21699b24bbf70ff4d8d293082ee793c227b1b20a4e8ace9",
+    "sparse_bool":
+        "b59afaa7557c3d3dbe1a8457e8e3414215ef6ea5d03408bcfc8545687276e909",
+    "empty_f64":
+        "ab2dbaf511ca98b46d0815ae5eed72b854106fa4a0db1c5ca3fbed30469f29fc",
+    "scalar_0d":
+        "a26f8e44920b1834c5ce0542cb392a97e47dba2c3238cb783963e7a08add8e17",
+    "coo_at_threshold":
+        "e41f358b7ecc659d0fc2919254d2326e48cc853cc08d1d8f4a803069881eef80",
+    "raw_past_threshold":
+        "994b029d6d62ca80b60bfc21db20842651b0c5d142d59b64be39283206b9aa10",
+}
+
+
+class TestGoldenEncoderBytes:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FRAME_SHA256))
+    def test_frame_bytes_pinned(self, name):
+        array = golden_cases()[name]
+        frame = encode_frame({"case": name}, {"a": array})
+        assert hashlib.sha256(frame).hexdigest() \
+            == GOLDEN_FRAME_SHA256[name]
+        _, decoded = read_frame(io.BytesIO(frame))
+        assert decoded["a"].dtype == array.dtype
+        assert decoded["a"].tobytes() == array.tobytes()
+
+    def test_threshold_cases_straddle_the_cut(self):
+        cases = golden_cases()
+        for name, encoding in (("coo_at_threshold", "coo"),
+                               ("raw_past_threshold", "raw")):
+            frame = encode_frame({"case": name}, {"a": cases[name]})
+            header_len, _ = parse_frame_prefix(frame[:FRAME_PREFIX_LEN])
+            header = json.loads(frame[FRAME_PREFIX_LEN:
+                                      FRAME_PREFIX_LEN + header_len])
+            assert header["arrays"]["a"]["enc"] == encoding
 
 
 class TestShmLane:
